@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 input error, 2 computation error.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 import time
@@ -40,7 +39,6 @@ def _build_parser():
     p = _Parser(prog="algpoly", description=__doc__)
     p.add_argument("input", nargs="?", help="input file (<name>.in)")
     p.add_argument("--goals", help="comma separated goal overrides")
-    p.add_argument("--workers", type=int, default=None, help="worker count")
     p.add_argument(
         "--order", choices=("input", "sorted"), default="input",
         help="generator insertion order",
@@ -61,11 +59,6 @@ def _build_parser():
     return p
 
 
-def default_workers():
-    cpus = os.cpu_count() or 1
-    return min(8, cpus)
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -73,18 +66,13 @@ def main(argv=None):
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    workers = args.workers if args.workers else default_workers()
-    if workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 1
     try:
         if args.bench:
-            return bench(args.bench, args.bench_class, order=args.order,
-                         workers=workers)
+            return bench(args.bench, args.bench_class, order=args.order)
         if not args.input:
             print("error: an input file or --bench is required", file=sys.stderr)
             return 1
-        return run(args, workers)
+        return run(args)
     except (InputSyntaxError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -93,7 +81,7 @@ def main(argv=None):
         return 2
 
 
-def run(args, workers):
+def run(args):
     path = Path(args.input)
     text = path.read_text()
     spec = nfio.parse_input(text)
@@ -112,12 +100,12 @@ def run(args, workers):
         project_order = [int(t) for t in args.project_order.split(",")]
 
     model = nfio.build_model(spec)
-    analyzed = analyze(model, order=args.order, workers=workers)
+    analyzed = analyze(model, order=args.order)
     bundle = nfio.ResultBundle(
         analyzed=analyzed, goals=goals, euclid_digits=args.euclid_digits
     )
     if not analyzed.is_empty:
-        _compute_goals(bundle, goals, args, project_order, workers)
+        _compute_goals(bundle, goals, args, project_order)
 
     out_path = path.with_suffix(".out")
     out_path.write_text(nfio.write_results(bundle))
@@ -134,7 +122,7 @@ def run(args, workers):
     return 0
 
 
-def _compute_goals(bundle, goals, args, project_order, workers):
+def _compute_goals(bundle, goals, args, project_order):
     # dependency order: hyperplanes (analyze) precede the face lattice and
     # automorphisms; the triangulation precedes the volume; lattice points
     # precede the integer hull
@@ -143,16 +131,14 @@ def _compute_goals(bundle, goals, args, project_order, workers):
     if Goal.F_VECTOR in goals or Goal.FACE_LATTICE in goals:
         bundle.f_vector = f_vector(analyzed)
     if Goal.TRIANGULATION in goals:
-        bundle.triangulation = triangulate(
-            analyzed, order=args.order, workers=workers
-        )
+        bundle.triangulation = triangulate(analyzed, order=args.order)
     if Goal.VOLUME in goals:
-        bundle.volume = volume(analyzed, order=args.order, workers=workers)
+        bundle.volume = volume(analyzed, order=args.order)
     if Goal.LATTICE_POINTS in goals or Goal.INTEGER_HULL in goals:
         bundle.lattice_points = lattice_points(analyzed, project_order=project_order)
     if Goal.INTEGER_HULL in goals:
         bundle.integer_hull = integer_hull(
-            analyzed, project_order=project_order, order=args.order, workers=workers
+            analyzed, project_order=project_order, order=args.order
         )
     for goal, kind in nfio.AUT_GOALS.items():
         if goal in goals:
@@ -162,7 +148,7 @@ def _compute_goals(bundle, goals, args, project_order, workers):
 # ----------------------------------------------------------------------------
 # benchmark mode
 
-def bench(family_text, class_name, order="input", workers=1, out=None):
+def bench(family_text, class_name, order="input", out=None):
     out = out or sys.stdout
     family, params = _parse_family(family_text)
     classes = BENCH_CLASSES if class_name == "all" else (class_name,)
@@ -173,7 +159,7 @@ def bench(family_text, class_name, order="input", workers=1, out=None):
     reference = None
     for cls in classes:
         t0 = time.perf_counter()
-        counts = bench_instance(family, params, cls, order=order, workers=workers)
+        counts = bench_instance(family, params, cls, order=order)
         elapsed = time.perf_counter() - t0
         rows.append((cls, elapsed, counts))
         if reference is None:
@@ -261,7 +247,7 @@ def scale_columns(vertices, field):
     ]
 
 
-def bench_instance(family, params, cls, order="input", workers=1):
+def bench_instance(family, params, cls, order="input"):
     """(extreme ray count, facet count, f-vector) of one class run."""
     int_vertices, dim = bench_vertices(family, params)
     field = bench_field(cls)
@@ -270,9 +256,7 @@ def bench_instance(family, params, cls, order="input", workers=1):
     ]
     if cls in ("sc2", "sc8", "p12"):
         vertices = scale_columns(vertices, field)
-    analyzed = analyze(
-        PolyhedronModel(field, dim, vertices=vertices), order=order, workers=workers
-    )
+    analyzed = analyze(PolyhedronModel(field, dim, vertices=vertices), order=order)
     fvec = f_vector(analyzed)
     return (
         len(analyzed.vertices) + len(analyzed.rays),

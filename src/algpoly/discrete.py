@@ -64,7 +64,7 @@ class LatticePointSet:
         return [p[:-1] for p in self.points]
 
 
-def triangulate(analyzed, order="input", workers=1):
+def triangulate(analyzed, order="input"):
     """Placing triangulation of the homogenized vertex cone, insertion order."""
     if not analyzed.is_polytope:
         raise NotAPolytope("triangulation requires a bounded feasible polyhedron")
@@ -76,7 +76,7 @@ def triangulate(analyzed, order="input", workers=1):
     cone = ConeInput(
         analyzed.field, analyzed.dim + 1, generators=list(analyzed.vertices)
     )
-    result = dualize(cone, track_triangulation=True, order=order, workers=workers)
+    result = dualize(cone, track_triangulation=True, order=order)
     simplices = []
     determinants = []
     for simplex, raw_det in result.triangulation:
@@ -89,9 +89,9 @@ def triangulate(analyzed, order="input", workers=1):
     return Triangulation(simplices=simplices, determinants=determinants)
 
 
-def volume(analyzed, order="input", workers=1):
+def volume(analyzed, order="input"):
     """Lattice normalized volume (exact) of a full-dimensional polytope."""
-    tri = triangulate(analyzed, order=order, workers=workers)
+    tri = triangulate(analyzed, order=order)
     field = analyzed.field
     total = field.zero
     for d in tri.determinants:
@@ -217,7 +217,7 @@ def lattice_points(analyzed, project_order=None):
     return LatticePointSet(points=out)
 
 
-def integer_hull(analyzed, project_order=None, order="input", workers=1):
+def integer_hull(analyzed, project_order=None, order="input"):
     """Convex hull of the lattice points, as a new analyzed polyhedron."""
     pts = lattice_points(analyzed, project_order=project_order)
     field = analyzed.field
@@ -225,4 +225,4 @@ def integer_hull(analyzed, project_order=None, order="input", workers=1):
         tuple(field.from_rational(c) for c in p[:-1]) for p in pts.points
     ]
     model = PolyhedronModel(field, analyzed.dim, vertices=vertices)
-    return analyze(model, order=order, workers=workers)
+    return analyze(model, order=order)

@@ -12,6 +12,16 @@ value of its last nonzero component, then clearing of all integer
 denominators by their lcm.  This makes representatives canonical up to the
 positive scalar, so duplicate detection is structural equality.
 
+No rank is computed to certify a new sigma or an extreme generator.  The
+processed prefix always spans the space (the run starts from a basis), so
+its dual is pointed, and on a pointed cone the combinatorial adjacency test
+is exact (Fukuda & Prodon, "Double description method revisited", 1996):
+two extreme rays are adjacent iff no third extreme ray vanishes on every
+generator both vanish on.  Each combination of an adjacent pair is therefore
+an extreme ray of the new dual.  In the same way, once the final dual has
+full rank (the cone is pointed), a generator is extreme iff no other
+generator lies on every facet it lies on.
+
 When every current facet is simplicial (exactly d-1 incident generators),
 adjacency reduces to bitset work on (d-2)-subsets shared by exactly two
 facets, which keeps cyclic-polytope runs feasible.
@@ -19,14 +29,11 @@ facets, which keeps cyclic-polytope runs feasible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroVector
-
-_PARALLEL_THRESHOLD = 64
 
 
 @dataclass
@@ -126,26 +133,6 @@ def initial_dual(gens, basis_idx, field, track_triangulation=False):
     return state
 
 
-def is_extreme(idx, sigmas, incidence, gens, dim, skip_rank=False):
-    """Extremality of candidate `idx` among the given support forms.
-
-    The cheap test first: the incidence set must not be contained in any
-    other form's incidence set.  Then the incident generators must have rank
-    dim-1; the rank check is skipped when the caller has already certified
-    it through simplicial bookkeeping.
-    """
-    mask = incidence[idx]
-    for j, other in enumerate(incidence):
-        if j != idx and mask & other == mask:
-            return False
-    if skip_rank:
-        return True
-    rows = [gens[t] for t in _bits(mask)]
-    if not rows:
-        return dim <= 1
-    return linalg.rank(rows) == dim - 1
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -180,7 +167,7 @@ def _combine(vec_i, vec_j, val_i, val_j, field):
     return normalize(lam, field)
 
 
-def _simplicial_pairs(state, pos, neg, zero):
+def _simplicial_pairs(state, pos, neg):
     """Adjacent positive/negative pairs via shared ridges.
 
     Valid when every current facet is simplicial: a (d-2)-subset of
@@ -229,7 +216,7 @@ def _general_pairs(state, pos, neg):
     return pairs
 
 
-def fm_step(state, new_idx, workers=1):
+def fm_step(state, new_idx):
     """Extend the processed cone by generator `new_idx` and shrink its dual."""
     x = state.gens[new_idx]
     field = state.field
@@ -252,28 +239,10 @@ def fm_step(state, new_idx, workers=1):
     if state.triangulation is not None:
         _extend_triangulation(state, new_idx, neg)
 
-    all_simplicial = d >= 2 and all(state.simplicial)
-    if all_simplicial:
-        pairs = _simplicial_pairs(state, pos, neg, zero)
-        skip_rank = True
+    if d >= 2 and all(state.simplicial):
+        pairs = _simplicial_pairs(state, pos, neg)
     else:
         pairs = _general_pairs(state, pos, neg)
-        skip_rank = False
-
-    def make_candidates(chunk):
-        out = []
-        for i, j in chunk:
-            lam = _combine(state.sigmas[i], state.sigmas[j], values[i], values[j], field)
-            out.append((i, j, lam))
-        return out
-
-    if workers > 1 and len(pairs) >= _PARALLEL_THRESHOLD:
-        chunk_size = max(1, len(pairs) // (workers * 4))
-        chunks = [pairs[k : k + chunk_size] for k in range(0, len(pairs), chunk_size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            produced = [c for part in pool.map(make_candidates, chunks) for c in part]
-    else:
-        produced = make_candidates(pairs)
 
     new_sigmas = [state.sigmas[t] for t in pos]
     new_incidence = [state.incidence[t] for t in pos]
@@ -281,44 +250,16 @@ def fm_step(state, new_idx, workers=1):
         new_sigmas.append(state.sigmas[t])
         new_incidence.append(state.incidence[t] | new_bit)
 
-    seen = {}
-    cand_sigmas = []
-    cand_incidence = []
-    cand_parents = []
-    for i, j, lam in produced:
+    # adjacent pairs are exact on the pointed dual, so every distinct
+    # combination is a new extreme ray
+    seen = set()
+    for i, j in pairs:
+        lam = _combine(state.sigmas[i], state.sigmas[j], values[i], values[j], field)
         if lam in seen:
             continue
-        seen[lam] = True
-        common = state.incidence[i] & state.incidence[j]
-        cand_sigmas.append(lam)
-        cand_incidence.append(common | new_bit)
-        cand_parents.append((i, j))
-
-    if skip_rank:
-        keep = range(len(cand_sigmas))
-    else:
-        merged_incidence = new_incidence + cand_incidence
-        merged_sigmas = new_sigmas + cand_sigmas
-        offset = len(new_sigmas)
-        keep = [
-            k
-            for k in range(len(cand_sigmas))
-            if is_extreme(
-                offset + k,
-                merged_sigmas,
-                merged_incidence,
-                state.gens,
-                d,
-                # simplicial parents with a full-size common set certify the
-                # rank: a subset of d-1 independent generators is independent
-                skip_rank=state.simplicial[cand_parents[k][0]]
-                and state.simplicial[cand_parents[k][1]]
-                and (cand_incidence[k].bit_count() == d - 1),
-            )
-        ]
-    for k in keep:
-        new_sigmas.append(cand_sigmas[k])
-        new_incidence.append(cand_incidence[k])
+        seen.add(lam)
+        new_sigmas.append(lam)
+        new_incidence.append(state.incidence[i] & state.incidence[j] | new_bit)
 
     state.sigmas = new_sigmas
     state.incidence = new_incidence
@@ -366,22 +307,15 @@ class DualizationResult:
         return [self.generators[i] for i in self.extreme]
 
 
-def _insertion_order(gens_r, basis_idx, order):
-    rest = [i for i in range(len(gens_r)) if i not in set(basis_idx)]
-    if order == "input" or not rest:
-        return rest
-    if order != "sorted":
-        raise ValueError(f"unknown insertion order {order!r}")
-    return rest  # dynamic selection happens in the driver loop
-
-
-def dualize(cone, track_triangulation=False, order="input", workers=1):
+def dualize(cone, track_triangulation=False, order="input"):
     """Extreme rays, support hyperplanes, and incidence of a cone.
 
     With `generators` input this is a convex hull computation; with
     `constraints` input the same engine runs on the constraint rows and the
     roles of the two output families swap (vertex enumeration).
     """
+    if order not in ("input", "sorted"):
+        raise ValueError(f"unknown insertion order {order!r}")
     field = cone.field
     rows = cone.generators if cone.generators is not None else cone.constraints
     normalized = []
@@ -403,24 +337,24 @@ def dualize(cone, track_triangulation=False, order="input", workers=1):
     basis_idx = linalg.find_basis_among(projected, r)
     state = initial_dual(projected, basis_idx, field, track_triangulation)
 
-    rest = _insertion_order(projected, basis_idx, order)
+    chosen = set(basis_idx)
+    rest = [i for i in range(len(projected)) if i not in chosen]
     if order == "sorted":
-        remaining = list(rest)
-        while remaining:
+        while rest:
             best = None
             best_key = None
-            for i in remaining:
+            for i in rest:
                 hits = sum(
                     1 for s in state.sigmas if _dot(s, projected[i]).sign() == 0
                 )
                 key = (-hits, i)
                 if best_key is None or key < best_key:
                     best, best_key = i, key
-            fm_step(state, best, workers=workers)
-            remaining.remove(best)
+            fm_step(state, best)
+            rest.remove(best)
     else:
         for i in rest:
-            fm_step(state, i, workers=workers)
+            fm_step(state, i)
 
     sigmas = state.sigmas
     incidence = state.incidence
@@ -431,15 +365,17 @@ def dualize(cone, track_triangulation=False, order="input", workers=1):
     else:
         dual_rank = linalg.rank(sigmas)
 
-    # extreme input rays: incident support forms must have rank r-1
-    # (never more, since they all vanish on the generator)
+    # extreme input rays of a pointed cone: no other generator lies on every
+    # support form generator i lies on
     extreme = []
     if dual_rank == r:
+        everything = (1 << len(projected)) - 1
         for i in range(len(projected)):
-            incident = (
-                sigmas[t] for t in range(len(sigmas)) if incidence[t] >> i & 1
-            )
-            if linalg.rank_reaches(incident, r - 1):
+            common = everything
+            for mask in incidence:
+                if mask >> i & 1:
+                    common &= mask
+            if common == 1 << i:
                 extreme.append(i)
 
     triangulation = None

@@ -246,30 +246,10 @@ def null_space(rows):
 
 def find_basis_among(rows, dim):
     """Indices of the lexicographically first independent subset of size dim."""
-    field = rows[0][0].field
-    chosen = []
-    reduced = []  # eliminated copies of the chosen rows
-    pivots = []  # pivot column per reduced row
-    for idx, row in enumerate(rows):
-        work = list(row)
-        for red, pc in zip(reduced, pivots):
-            if work[pc].sign() != 0:
-                f = work[pc]
-                work = [work[j] - f * red[j] for j in range(len(work))]
-        pivot_col = None
-        for j, x in enumerate(work):
-            if x.sign() != 0:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            continue
-        work = [x * work[pivot_col].inv() for x in work]
-        reduced.append(work)
-        pivots.append(pivot_col)
-        chosen.append(idx)
-        if len(chosen) == dim:
-            return chosen
-    raise RankDeficient(f"generators span only {len(chosen)} of {dim} dimensions")
+    chosen = independent_rows(rows, stop_at=dim)
+    if len(chosen) < dim:
+        raise RankDeficient(f"generators span only {len(chosen)} of {dim} dimensions")
+    return chosen
 
 
 class SpanBasis:
@@ -352,28 +332,6 @@ def restrict_to_span(rows):
     if r == 0:
         basis = SpanBasis([], [])
         return basis, [tuple() for _ in rows]
-    cols = []
-    transposed = list(zip(*basis_rows))
-    reduced = []
-    pivots = []
-    for j, col in enumerate(transposed):
-        work = list(col)
-        for red, pc in zip(reduced, pivots):
-            if work[pc].sign() != 0:
-                f = work[pc]
-                work = [work[t] - f * red[t] for t in range(len(work))]
-        pivot = None
-        for t, x in enumerate(work):
-            if x.sign() != 0:
-                pivot = t
-                break
-        if pivot is None:
-            continue
-        work = [x * work[pivot].inv() for x in work]
-        reduced.append(work)
-        pivots.append(pivot)
-        cols.append(j)
-        if len(cols) == r:
-            break
+    cols = independent_rows(list(zip(*basis_rows)), stop_at=r)
     basis = SpanBasis(cols, basis_rows)
     return basis, [basis.project(row) for row in rows]

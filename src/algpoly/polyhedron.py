@@ -131,7 +131,7 @@ def _empty_analysis(model):
     )
 
 
-def analyze(model, order="input", workers=1):
+def analyze(model, order="input"):
     """Vertices, recession rays, support hyperplanes, and dimensions."""
     if model.has_vrep and not model.vertices:
         if not model.rays:
@@ -147,7 +147,7 @@ def analyze(model, order="input", workers=1):
         return _empty_analysis(model)
 
     cone = homogenize(model)
-    result = dualize(cone, order=order, workers=workers)
+    result = dualize(cone, order=order)
 
     if model.has_vrep:
         gen_rows = result.generators
@@ -176,7 +176,7 @@ def analyze(model, order="input", workers=1):
             vmodel = PolyhedronModel(
                 model.field, model.dim, vertices=points, rays=directions
             )
-            redone = analyze(vmodel, order=order, workers=workers)
+            redone = analyze(vmodel, order=order)
             redone.model = model
             return redone
         # full-dimensional primal cone: extreme constraint rows are the facets

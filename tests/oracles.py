@@ -21,13 +21,7 @@ from algpoly.dualize import normalize
 def brute_force_dual(gens, field):
     """Support forms of cone(gens) for a full-dimensional cone in d-space."""
     d = len(gens[0])
-    dedup = []
-    seen = set()
-    for g in gens:
-        v = normalize(g, field)
-        if v not in seen:
-            seen.add(v)
-            dedup.append(v)
+    dedup = _dedup(gens, field)
     found = {}
     if d == 1:
         for cand in ((field.one,), (-field.one,)):
@@ -52,6 +46,34 @@ def brute_force_dual(gens, field):
         if v not in found:
             found[v] = _incidence(v, dedup)
     return _maximal(found)
+
+
+def brute_force_extreme(gens, field):
+    """Extreme generators of a full-dimensional pointed cone in d-space.
+
+    A generator is extreme iff the brute-force facets tight on it have rank
+    d-1.  Returns indices into the normalized, deduplicated generator list in
+    input order, the indexing of `DualizationResult.extreme`.
+    """
+    d = len(gens[0])
+    facets = brute_force_dual(gens, field)
+    extreme = []
+    for i, g in enumerate(_dedup(gens, field)):
+        tight = [list(f) for f in facets if _dot(f, g).sign() == 0]
+        if (linalg.rank(tight) if tight else 0) == d - 1:
+            extreme.append(i)
+    return extreme
+
+
+def _dedup(gens, field):
+    out = []
+    seen = set()
+    for g in gens:
+        v = normalize(g, field)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
 
 
 def _incidence(form, gens):

@@ -273,7 +273,7 @@ def test_criterion_9_determinism(tmp_path):
         workdir.mkdir()
         target = workdir / "icosahedron.in"
         shutil.copy(src, target)
-        assert cli_main([str(target), "--workers", "1"]) == 0
+        assert cli_main([str(target)]) == 0
         outputs.append(
             (
                 (workdir / "icosahedron.out").read_bytes(),
@@ -281,4 +281,4 @@ def test_criterion_9_determinism(tmp_path):
             )
         )
     assert outputs[0] == outputs[1]
-    _report(9, "two single-worker runs are byte-identical")
+    _report(9, "two runs are byte-identical")

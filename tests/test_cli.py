@@ -5,8 +5,11 @@ import pytest
 
 from algpoly.cli import bench_instance, bench_vertices, main
 
-from conftest import INPUTS
+from conftest import INPUTS, REPO
 from oracles import gale_facet_count, gale_facets
+
+
+GOLDEN = REPO / "tests" / "golden"
 
 
 def run_cli(args):
@@ -61,7 +64,11 @@ class TestRun:
         assert run_cli([str(unbounded)]) == 2
 
     def test_bad_flag_is_input_error(self):
-        assert run_cli(["--workers", "not-a-number"]) == 1
+        assert run_cli(["--euclid-digits", "x"]) == 1
+
+    def test_workers_flag_rejected(self, workdir):
+        assert run_cli([str(workdir / "cube.in"), "--workers", "2"]) == 1
+        assert not (workdir / "cube.out").exists()
 
     def test_euclid_digits_flag(self, workdir):
         path = workdir / "icosahedron.in"
@@ -85,10 +92,10 @@ class TestRun:
 
     def test_determinism_single_worker(self, workdir):
         path = workdir / "icosahedron.in"
-        assert run_cli([str(path), "--workers", "1"]) == 0
+        assert run_cli([str(path)]) == 0
         first_out = (workdir / "icosahedron.out").read_bytes()
         first_aut = (workdir / "icosahedron.aut").read_bytes()
-        assert run_cli([str(path), "--workers", "1"]) == 0
+        assert run_cli([str(path)]) == 0
         assert (workdir / "icosahedron.out").read_bytes() == first_out
         assert (workdir / "icosahedron.aut").read_bytes() == first_aut
 
@@ -100,6 +107,21 @@ class TestRun:
             [exe, str(workdir / "cube.in")], capture_output=True, text=True
         )
         assert proc.returncode == 0
+
+
+class TestGolden:
+    """Outputs for inputs/*.in must stay byte-identical to tests/golden."""
+
+    @pytest.mark.parametrize("name", ["cube", "empty", "icosahedron"])
+    def test_outputs_match_golden(self, workdir, name):
+        assert run_cli([str(workdir / f"{name}.in")]) == 0
+        expected = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
+        produced = sorted(
+            p.name for p in workdir.glob(f"{name}.*") if p.suffix != ".in"
+        )
+        assert produced == expected
+        for file_name in expected:
+            assert (workdir / file_name).read_bytes() == (GOLDEN / file_name).read_bytes()
 
 
 class TestBench:

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from algpoly import ConeInput, dualize, normalize
-from algpoly.dualize import fm_step, initial_dual, is_extreme
+from algpoly import ConeInput, PolyhedronModel, analyze, dualize, normalize
+from algpoly.dualize import fm_step, initial_dual
 from algpoly.errors import ZeroVector
 from algpoly import linalg
 
-from oracles import brute_force_dual, hyperplane_set, random_cone
+from oracles import (
+    _dot,
+    brute_force_dual,
+    brute_force_extreme,
+    hyperplane_set,
+    random_cone,
+)
 
 
 class TestNormalize:
@@ -97,21 +103,6 @@ class TestFmStep:
         state = initial_dual(gens, [0, 1], qq)
         fm_step(state, 2)
         assert set(state.sigmas) == {(q(0), q(1)), (q(2), q(1))}
-
-    def test_is_extreme_duplicate_rejected(self, qq):
-        one, zero = qq.one, qq.zero
-        sigmas = [(one, zero), (one, zero)]
-        incidence = [0b01, 0b01]
-        gens = [(zero, one), (one, one)]
-        assert not is_extreme(0, sigmas, incidence, gens, 2)
-
-    def test_is_extreme_rank_criterion(self, qq):
-        # incidence too small: rank d-1 fails
-        one, zero = qq.one, qq.zero
-        sigmas = [(one, zero, zero)]
-        incidence = [0]
-        gens = [(zero, one, zero)]
-        assert not is_extreme(0, sigmas, incidence, gens, 3)
 
 
 class TestDualize:
@@ -206,12 +197,44 @@ class TestDualize:
             res_sort.support_hyperplanes, qsqrt5
         )
 
-    def test_workers_same_result(self, qsqrt5):
-        rng = random.Random(28)
-        gens = random_cone(rng, qsqrt5, 4, 10, True)
-        res1 = dualize(ConeInput(qsqrt5, 4, generators=gens), workers=1)
-        res4 = dualize(ConeInput(qsqrt5, 4, generators=gens), workers=4)
-        assert res1.support_hyperplanes == res4.support_hyperplanes
+    @pytest.mark.parametrize(
+        "field_name, rounds, max_dim", [("qq", 12, 5), ("qsqrt5", 10, 4), ("p12", 3, 4)]
+    )
+    def test_extreme_matches_rank_oracle(self, request, field_name, rounds, max_dim):
+        # in 5-space an edge can lie on more than d-2 facets, so counting
+        # incident facets would not tell edge points from extreme rays
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(41)
+        for _ in range(rounds):
+            d = rng.randint(2, max_dim)
+            gens = random_cone(rng, field, d, rng.randint(d, d + 3), field_name != "qq")
+            padded = gens + _non_extreme_padding(rng, gens, field)
+            rng.shuffle(padded)
+            res = dualize(ConeInput(field, d, generators=padded))
+            assert res.pointed
+            assert res.extreme == brute_force_extreme(padded, field)
+            # the padding lies in the cone, so the facets stay those of gens
+            assert hyperplane_set(res.support_hyperplanes, field) == brute_force_dual(
+                gens, field
+            )
+
+    def test_tangent_redundant_inequality_dropped(self, qq):
+        # x + y <= 2 touches the unit cube only along the edge x = y = 1
+        q = qq.from_rational
+        facets = []
+        for i in range(3):
+            lo = [q(0)] * 4
+            lo[i] = q(1)
+            hi = [q(0)] * 4
+            hi[i] = q(-1)
+            hi[3] = q(1)
+            facets += [tuple(lo), tuple(hi)]
+        tangent = (q(-1), q(-1), q(0), q(2))
+        res = analyze(PolyhedronModel(qq, 3, inequalities=facets + [tangent]))
+        assert len(res.vertices) == 8
+        hyps = hyperplane_set(res.support_hyperplanes, qq)
+        assert hyps == hyperplane_set(facets, qq)
+        assert normalize(tangent, qq) not in hyps
 
     def test_scaling_invariance_of_incidence(self, qsqrt5):
         rng = random.Random(29)
@@ -254,3 +277,30 @@ class TestDualize:
         assert not res.pointed
         assert res.lineality_dim == 1
         assert res.extreme == []
+
+
+def _non_extreme_padding(rng, gens, field):
+    """Non-extreme rays of cone(gens): edge midpoints, points inside facets,
+    an interior point, and positive multiples of generators."""
+    d = len(gens[0])
+    facets = brute_force_dual(gens, field)
+    rays = list(dict.fromkeys(normalize(g, field) for g in gens))
+
+    def tight(g):
+        return [f for f in facets if _dot(f, g).sign() == 0]
+
+    def total(rows):
+        return tuple(sum(col[1:], col[0]) for col in zip(*rows))
+
+    pad = []
+    for k, u in enumerate(rays):
+        for v in rays[k + 1:]:
+            common = [f for f in tight(u) if f in tight(v)]
+            if (linalg.rank([list(f) for f in common]) if common else 0) == d - 2:
+                pad.append(total([u, v]))
+    for f in facets:
+        pad.append(total([g for g in rays if _dot(f, g).sign() == 0]))
+    pad.append(total(rays))
+    scale = field.gen() + 3
+    pad += [tuple(x * scale for x in g) for g in rng.sample(gens, min(2, len(gens)))]
+    return rng.sample(pad, min(len(pad), 6))
