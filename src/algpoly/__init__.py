@@ -9,11 +9,9 @@ algebraic, and Euclidean automorphism groups, all in exact arithmetic.
 from .combinat import (
     AutomorphismGroup,
     FaceLattice,
-    IncidenceMatrix,
     automorphisms,
     f_vector,
     face_lattice,
-    incidence,
 )
 from .discrete import (
     LatticePointSet,
@@ -50,7 +48,6 @@ __all__ = [
     "EmbeddingInterval",
     "FaceLattice",
     "Goal",
-    "IncidenceMatrix",
     "InputSpec",
     "LatticePointSet",
     "NFElem",
@@ -69,7 +66,6 @@ __all__ = [
     "field_create",
     "find_basis_among",
     "homogenize",
-    "incidence",
     "integer_hull",
     "invert",
     "lattice_points",

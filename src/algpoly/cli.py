@@ -138,7 +138,7 @@ def _compute_goals(bundle, goals, args, project_order):
         bundle.lattice_points = lattice_points(analyzed, project_order=project_order)
     if Goal.INTEGER_HULL in goals:
         bundle.integer_hull = integer_hull(
-            analyzed, project_order=project_order, order=args.order
+            analyzed, bundle.lattice_points, order=args.order
         )
     for goal, kind in nfio.AUT_GOALS.items():
         if goal in goals:

@@ -1,8 +1,13 @@
 """Face lattice, f-vector, and automorphism groups.
 
 The face lattice is generated by closing the facet incidence bitsets under
-intersection; each face is the bitset of generators on it and its dimension
-is the rank of those generator rows minus one.
+intersection; each face is the bitset of generators on it.  Dimensions come
+from the incidences alone, with no linear algebra: the cone over a pointed
+polyhedron has a graded face lattice in which every face covered by G is G
+cut with a facet (Kaibel & Pfetsch, Comput. Geom. 23, 2002), so a face's
+codimension is the length of the longest chain of facet intersections from
+the full face down to it.  The length of the whole lattice is checked
+against the affine dimension found by `analyze`.
 
 Automorphism search works on a complete edge-colored graph over the
 vertices.  Colors are exact invariants of the group being computed and only
@@ -18,29 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import UnboundedPolyhedron
+from .errors import InconsistentFaceLattice, UnboundedPolyhedron
 
 KINDS = ("combinatorial", "algebraic", "euclidean")
-
-
-@dataclass
-class IncidenceMatrix:
-    rows: list  # per facet: bitset over vertices then rays
-    n_vertices: int
-    n_rays: int
-
-    @property
-    def n_generators(self):
-        return self.n_vertices + self.n_rays
-
-
-def incidence(analyzed):
-    """Facet-generator incidence of an analyzed polyhedron."""
-    return IncidenceMatrix(
-        rows=list(analyzed.incidence),
-        n_vertices=len(analyzed.vertices),
-        n_rays=len(analyzed.rays),
-    )
 
 
 @dataclass
@@ -49,27 +34,22 @@ class FaceLattice:
     f_vector: list  # counts from dimension -1 (empty face) upward
 
 
-def face_lattice(inc, analyzed):
-    """All faces as generator bitsets, closed under intersection."""
-    gen_rows = analyzed.generator_rows()
-    full = (1 << inc.n_generators) - 1
+def face_lattice(analyzed):
+    """All faces as generator bitsets, closed under intersection and graded.
 
-    rank_cache = {}
-
-    def face_dim(mask):
-        if mask in rank_cache:
-            return rank_cache[mask]
-        rows = [gen_rows[i] for i in _bits(mask)]
-        d = (linalg.rank(rows) - 1) if rows else -1
-        rank_cache[mask] = d
-        return d
+    A face's depth is the length of the longest chain of facet
+    intersections from the full face down to it; the depth of the empty
+    face is one more than the dimension of the polyhedron.
+    """
+    rows = analyzed.incidence
+    full = (1 << (len(analyzed.vertices) + len(analyzed.rays))) - 1
 
     faces = {full}
     frontier = [full]
     while frontier:
         new = []
         for face in frontier:
-            for row in inc.rows:
+            for row in rows:
                 g = face & row
                 if g not in faces:
                     faces.add(g)
@@ -77,17 +57,31 @@ def face_lattice(inc, analyzed):
         frontier = new
     faces.add(0)
 
-    dims = {mask: face_dim(mask) for mask in faces}
-    top = dims[full]
+    # every face is visited after all faces containing it, so its depth is
+    # final before it is passed on
+    depth = dict.fromkeys(faces, 0)
+    for face in sorted(faces, key=int.bit_count, reverse=True):
+        below = depth[face] + 1
+        for row in rows:
+            g = face & row
+            if g != face and depth[g] < below:
+                depth[g] = below
+    top = depth[0] - 1
+    if analyzed.vertices and top != analyzed.affine_dim:
+        raise InconsistentFaceLattice(
+            f"face lattice has length {top + 1}, "
+            f"but the polyhedron has affine dimension {analyzed.affine_dim}"
+        )
+    dims = {mask: top - d for mask, d in depth.items()}
     counts = [0] * (top + 2)
-    for mask, d in dims.items():
+    for d in dims.values():
         counts[d + 1] += 1
     return FaceLattice(faces=dims, f_vector=counts)
 
 
 def f_vector(analyzed):
     """Face counts by dimension, bracketed by the empty face and the body."""
-    return face_lattice(incidence(analyzed), analyzed).f_vector
+    return face_lattice(analyzed).f_vector
 
 
 def _bits(mask):
@@ -103,24 +97,6 @@ def _bits(mask):
 def perm_compose(p, q):
     """p after q."""
     return tuple(p[i] for i in q)
-
-
-def closure_order(perms, n):
-    """Size of the group generated by the permutations."""
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    gens = [tuple(p) for p in perms]
-    while frontier:
-        new = []
-        for g in frontier:
-            for p in gens:
-                h = perm_compose(p, g)
-                if h not in seen:
-                    seen.add(h)
-                    new.append(h)
-        frontier = new
-    return len(seen)
 
 
 def orbits_of(perms, n):
@@ -243,7 +219,7 @@ def _edge_palette(values_matrix):
     return edge
 
 
-def automorphisms(analyzed, kind="combinatorial", require_closure_check=False):
+def automorphisms(analyzed, kind="combinatorial"):
     """Automorphism group of the given kind, as vertex permutations.
 
     Combinatorial automorphisms permute the face lattice and exist for every
@@ -256,9 +232,9 @@ def automorphisms(analyzed, kind="combinatorial", require_closure_check=False):
         raise UnboundedPolyhedron(
             f"{kind} automorphism group is undefined for unbounded polyhedra"
         )
-    inc = incidence(analyzed)
-    n = inc.n_generators
-    facet_masks = inc.rows
+    facet_masks = analyzed.incidence
+    n_vertices = len(analyzed.vertices)
+    n = n_vertices + len(analyzed.rays)
 
     if n == 0:
         return AutomorphismGroup(
@@ -290,7 +266,7 @@ def automorphisms(analyzed, kind="combinatorial", require_closure_check=False):
     # of sizes of the facets through the generator
     node_colors = []
     for v in range(n):
-        kind_bit = 0 if v < inc.n_vertices else 1
+        kind_bit = 0 if v < n_vertices else 1
         sizes = tuple(sorted(m.bit_count() for m in facet_masks if m >> v & 1))
         node_colors.append((kind_bit, sizes))
     palette = {}
@@ -358,21 +334,18 @@ def automorphisms(analyzed, kind="combinatorial", require_closure_check=False):
                 break
 
     hyper_perms = [_induced_facet_perm(p, facet_masks, facet_set) for p in generators]
-    all_hyper = [_induced_facet_perm(p, facet_masks, facet_set) for p in elements]
-    group = AutomorphismGroup(
+    return AutomorphismGroup(
         kind=kind,
         order=order,
         vertex_perms=generators,
         hyperplane_perms=hyper_perms,
-        vertex_orbits=orbits_of(elements, n),
-        hyperplane_orbits=orbits_of(all_hyper, len(facet_masks)),
-        n_vertices=inc.n_vertices,
+        # a group's orbits are the orbits of its generators
+        vertex_orbits=orbits_of(generators, n),
+        hyperplane_orbits=orbits_of(hyper_perms, len(facet_masks)),
+        n_vertices=n_vertices,
         n_hyperplanes=len(facet_masks),
         elements=elements,
     )
-    if require_closure_check and closure_order(generators, n) != order:
-        raise AssertionError("generator closure does not reproduce the group order")
-    return group
 
 
 def _close(generated, generators, cap):

@@ -217,12 +217,11 @@ def lattice_points(analyzed, project_order=None):
     return LatticePointSet(points=out)
 
 
-def integer_hull(analyzed, project_order=None, order="input"):
-    """Convex hull of the lattice points, as a new analyzed polyhedron."""
-    pts = lattice_points(analyzed, project_order=project_order)
+def integer_hull(analyzed, points, order="input"):
+    """Convex hull of `points`, the polytope's `LatticePointSet`, analyzed."""
     field = analyzed.field
     vertices = [
-        tuple(field.from_rational(c) for c in p[:-1]) for p in pts.points
+        tuple(field.from_rational(c) for c in p[:-1]) for p in points.points
     ]
     model = PolyhedronModel(field, analyzed.dim, vertices=vertices)
     return analyze(model, order=order)

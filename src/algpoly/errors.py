@@ -67,6 +67,10 @@ class UnboundedPolyhedron(AlgpolyError):
     """Euclidean/algebraic automorphisms are undefined for unbounded polyhedra."""
 
 
+class InconsistentFaceLattice(AlgpolyError):
+    """The graded face lattice disagrees with the polyhedron's dimension."""
+
+
 # --- input files
 
 class InputSyntaxError(AlgpolyError):

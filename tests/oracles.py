@@ -1,10 +1,11 @@
 """Independent oracles the tests compare the kernel against.
 
 Everything here deliberately avoids the code paths it checks: the dual cone
-oracle enumerates kernel vectors of generator subsets, lattice points come
-from a bounding-box scan, cyclic polytope facets from the Gale evenness
-condition, automorphism counts from filtering all vertex permutations, and
-high-precision signs from sympy's isolated roots evaluated with mpmath.
+oracle enumerates kernel vectors of generator subsets, face dimensions are
+ranks of generator rows, lattice points come from a bounding-box scan,
+cyclic polytope facets from the Gale evenness condition, automorphism counts
+from filtering all vertex permutations, and high-precision signs from
+sympy's isolated roots evaluated with mpmath.
 """
 
 from fractions import Fraction
@@ -146,6 +147,28 @@ def box_scan_lattice(analyzed, box_limit=10 ** 6):
 
 
 # ----------------------------------------------------------------------------
+# face dimensions by rank
+
+def face_dims_by_rank(analyzed):
+    """Every face bitset with its dimension, the rank of its rows minus one.
+
+    Faces are the intersections of facet incidence sets, found by iterating
+    to a fixed point; the empty face is included.
+    """
+    gens = analyzed.generator_rows()
+    faces = {(1 << len(gens)) - 1, 0}
+    while True:
+        more = {f & r for f in faces for r in analyzed.incidence} - faces
+        if not more:
+            break
+        faces |= more
+    return {
+        mask: linalg.rank([list(g) for i, g in enumerate(gens) if mask >> i & 1]) - 1
+        for mask in faces
+    }
+
+
+# ----------------------------------------------------------------------------
 # cyclic polytopes: Gale evenness
 
 def gale_facets(d, n):
@@ -200,6 +223,22 @@ def brute_force_combinatorial_order(analyzed):
         if ok:
             count += 1
     return count
+
+
+def closure_order(perms, n):
+    """Size of the group generated by permutations of range(n)."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g in frontier:
+            for p in perms:
+                h = tuple(p[i] for i in g)
+                if h not in seen:
+                    seen.add(h)
+                    new.append(h)
+        frontier = new
+    return len(seen)
 
 
 def brute_force_euclidean_order(analyzed):

@@ -3,6 +3,7 @@ import subprocess
 
 import pytest
 
+from algpoly import cli, discrete
 from algpoly.cli import bench_instance, bench_vertices, main
 
 from conftest import INPUTS, REPO
@@ -122,6 +123,22 @@ class TestGolden:
         assert produced == expected
         for file_name in expected:
             assert (workdir / file_name).read_bytes() == (GOLDEN / file_name).read_bytes()
+
+    def test_lattice_points_computed_once(self, workdir, monkeypatch):
+        calls = []
+        original = discrete.lattice_points
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(discrete, "lattice_points", counted)
+        monkeypatch.setattr(cli, "lattice_points", counted)
+        path = workdir / "cube.in"
+        assert run_cli([str(path), "--goals", "LatticePoints,IntegerHull"]) == 0
+        assert len(calls) == 1
+        golden = GOLDEN / "cube_lattice_hull.out"
+        assert (workdir / "cube.out").read_bytes() == golden.read_bytes()
 
 
 class TestBench:

@@ -1,13 +1,20 @@
+import dataclasses
+import random
+
 import pytest
 
-from algpoly import PolyhedronModel, analyze, automorphisms, f_vector, face_lattice, incidence
-from algpoly.combinat import closure_order, cycle_decomposition
-from algpoly.errors import UnboundedPolyhedron
+from algpoly import PolyhedronModel, analyze, automorphisms, f_vector, face_lattice
+from algpoly.cli import bench_field, bench_vertices, scale_columns
+from algpoly.combinat import cycle_decomposition
+from algpoly.errors import InconsistentFaceLattice, UnboundedPolyhedron
 from algpoly import linalg
 
 from oracles import (
     brute_force_combinatorial_order,
     brute_force_euclidean_order,
+    closure_order,
+    face_dims_by_rank,
+    random_polytope,
 )
 
 
@@ -19,19 +26,16 @@ class TestIncidence:
     def test_triangle(self, qq):
         q = qq.from_rational
         tri = analyze(PolyhedronModel(qq, 2, vertices=[(q(0), q(0)), (q(1), q(0)), (q(0), q(1))]))
-        inc = incidence(tri)
-        assert len(inc.rows) == 3
-        assert all(m.bit_count() == 2 for m in inc.rows)
+        assert len(tri.incidence) == 3
+        assert all(m.bit_count() == 2 for m in tri.incidence)
 
     def test_icosahedron_triangles(self, icosahedron):
-        inc = incidence(icosahedron)
-        assert len(inc.rows) == 20 and inc.n_vertices == 12
-        assert all(m.bit_count() == 3 for m in inc.rows)
+        assert len(icosahedron.incidence) == 20 and len(icosahedron.vertices) == 12
+        assert all(m.bit_count() == 3 for m in icosahedron.incidence)
 
     def test_cube_quads(self, unit_cube):
-        inc = incidence(unit_cube)
-        assert len(inc.rows) == 6
-        assert all(m.bit_count() == 4 for m in inc.rows)
+        assert len(unit_cube.incidence) == 6
+        assert all(m.bit_count() == 4 for m in unit_cube.incidence)
 
 
 class TestFaceLattice:
@@ -56,7 +60,7 @@ class TestFaceLattice:
         assert f_vector(dode) == [1, 20, 30, 12, 1]
 
     def test_closed_under_intersection(self, unit_cube):
-        lat = face_lattice(incidence(unit_cube), unit_cube)
+        lat = face_lattice(unit_cube)
         masks = set(lat.faces)
         for m1 in masks:
             for m2 in masks:
@@ -74,6 +78,71 @@ class TestFaceLattice:
     def test_euler_relation(self, icosahedron, unit_cube, unit_square):
         for analyzed in (icosahedron, unit_cube, unit_square):
             assert euler_ok(f_vector(analyzed))
+
+    def test_no_rank_computed(self, icosahedron, unit_cube, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("face lattice must not call linalg.rank")
+
+        monkeypatch.setattr(linalg, "rank", refuse)
+        assert f_vector(icosahedron) == [1, 12, 30, 20, 1]
+        assert f_vector(unit_cube) == [1, 8, 12, 6, 1]
+
+    def test_length_checked_against_affine_dim(self, unit_cube):
+        wrong = dataclasses.replace(unit_cube, affine_dim=2)
+        with pytest.raises(InconsistentFaceLattice):
+            f_vector(wrong)
+
+
+def _bench_analyzed(family, params, cls):
+    int_vertices, dim = bench_vertices(family, params)
+    field = bench_field(cls)
+    vertices = [tuple(field.from_rational(x) for x in row) for row in int_vertices]
+    return analyze(PolyhedronModel(field, dim, vertices=scale_columns(vertices, field)))
+
+
+def _degenerate_models(qq):
+    q = qq.from_rational
+    o = q(0)
+    return {
+        "halfline": PolyhedronModel(qq, 1, vertices=[(o,)], rays=[(q(1),)]),
+        "cone_with_apex": PolyhedronModel(
+            qq, 2, vertices=[(o, o)], rays=[(q(1), o), (q(1), q(1))]
+        ),
+        "point": PolyhedronModel(qq, 2, vertices=[(q(1), q(1))]),
+        "flat_triangle": PolyhedronModel(
+            qq, 3, vertices=[(o, o, o), (q(1), o, o), (o, q(1), o)]
+        ),
+        "line": PolyhedronModel(qq, 1, vertices=[(o,)], rays=[(q(1),), (q(-1),)]),
+    }
+
+
+class TestFaceDimsOracle:
+    """Face dimensions graded from incidences agree with generator ranks."""
+
+    @pytest.mark.parametrize("algebraic", [False, True])
+    def test_random_polytopes(self, qq, qsqrt5, algebraic):
+        field = qsqrt5 if algebraic else qq
+        rng = random.Random(31 if algebraic else 32)
+        for d in (2, 3, 4):
+            for _ in range(3):
+                pts = random_polytope(rng, field, d, rng.randint(d + 1, d + 4), algebraic)
+                analyzed = analyze(PolyhedronModel(field, d, vertices=pts))
+                assert face_lattice(analyzed).faces == face_dims_by_rank(analyzed)
+
+    @pytest.mark.parametrize(
+        "family,params", [("cyclic", (5, 11)), ("order-poly", (4,))]
+    )
+    def test_bench_families_sc2(self, family, params):
+        analyzed = _bench_analyzed(family, params, "sc2")
+        assert face_lattice(analyzed).faces == face_dims_by_rank(analyzed)
+
+    def test_degenerate_polyhedra(self, qq):
+        for name, model in _degenerate_models(qq).items():
+            analyzed = analyze(model)
+            lat = face_lattice(analyzed)
+            assert lat.faces == face_dims_by_rank(analyzed), name
+            if name == "line":
+                assert lat.f_vector == [1]
 
 
 class TestAutomorphisms:
@@ -135,16 +204,15 @@ class TestAutomorphisms:
             assert ge.order <= ga.order <= gc.order
 
     def test_generators_close_to_group(self, icosahedron):
-        g = automorphisms(icosahedron, "euclidean", require_closure_check=True)
+        g = automorphisms(icosahedron, "euclidean")
         n = len(g.elements[0])
         assert closure_order(g.vertex_perms, n) == g.order
 
     def test_permutations_preserve_incidence(self, icosahedron):
-        inc = incidence(icosahedron)
-        masks = set(inc.rows)
+        masks = set(icosahedron.incidence)
         g = automorphisms(icosahedron, "euclidean")
         for perm in g.elements:
-            for mask in inc.rows:
+            for mask in icosahedron.incidence:
                 image = 0
                 m = mask
                 while m:

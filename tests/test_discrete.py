@@ -156,14 +156,14 @@ class TestLatticePoints:
 
 class TestIntegerHull:
     def test_icosahedron_single_point(self, icosahedron):
-        hull = integer_hull(icosahedron)
+        hull = integer_hull(icosahedron, lattice_points(icosahedron))
         assert len(hull.vertices) == 1
         assert hull.affine_dim == 0
 
     def test_segment(self, qsqrt5):
         a = qsqrt5.gen()
         seg = analyze(PolyhedronModel(qsqrt5, 1, vertices=[(qsqrt5.zero,), (a,)]))
-        hull = integer_hull(seg)
+        hull = integer_hull(seg, lattice_points(seg))
         points = sorted(p[0].is_rational() for p in hull.vertex_points())
         assert points == [0, 2]
 
@@ -173,7 +173,7 @@ class TestIntegerHull:
         square = analyze(
             PolyhedronModel(qsqrt5, 2, vertices=[(z, z), (a, z), (z, a), (a, a)])
         )
-        hull = integer_hull(square)
+        hull = integer_hull(square, lattice_points(square))
         assert len(hull.vertices) == 4
         assert volume(hull).normalized == 8  # square of side 2
 
@@ -191,5 +191,5 @@ class TestIntegerHull:
                 ],
             )
         )
-        hull = integer_hull(tri)
+        hull = integer_hull(tri, lattice_points(tri))
         assert hull.is_empty
