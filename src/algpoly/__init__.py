@@ -1,9 +1,10 @@
 """Exact polyhedral geometry over real embedded algebraic number fields.
 
 Convex hull / vertex enumeration by incremental Fourier-Motzkin
-dualization, placing triangulations and volumes, project-and-lift lattice
-points and integer hulls, face lattices and f-vectors, and combinatorial,
-algebraic, and Euclidean automorphism groups, all in exact arithmetic.
+dualization, and on top of its vertex-facet incidences: pulling
+triangulations and volumes, face lattices and f-vectors, and combinatorial,
+algebraic, and Euclidean automorphism groups; also project-and-lift lattice
+points and integer hulls, all in exact arithmetic.
 """
 
 from .combinat import (

@@ -35,6 +35,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     p = _Parser(prog="algpoly", description=__doc__)
     p.add_argument("input", nargs="?", help="input file (<name>.in)")
@@ -44,7 +50,7 @@ def _build_parser():
         help="generator insertion order",
     )
     p.add_argument(
-        "--euclid-digits", type=int, default=12,
+        "--euclid-digits", type=_positive_int, default=12,
         help="significant digits of the Euclidean volume",
     )
     p.add_argument(
@@ -95,11 +101,16 @@ def run(args):
             goal = nfio.goal_from_token(token)
             if goal not in goals:
                 goals.append(goal)
+    model = nfio.build_model(spec)
     project_order = None
     if args.project_order:
-        project_order = [int(t) for t in args.project_order.split(",")]
-
-    model = nfio.build_model(spec)
+        tokens = args.project_order.split(",")
+        project_order = [int(t) if t.strip().isdecimal() else -1 for t in tokens]
+        if sorted(project_order) != list(range(model.dim)):
+            raise InputSyntaxError(
+                f"--project-order {args.project_order!r} is not a permutation "
+                f"of 0..{model.dim - 1}"
+            )
     analyzed = analyze(model, order=args.order)
     bundle = nfio.ResultBundle(
         analyzed=analyzed, goals=goals, euclid_digits=args.euclid_digits
@@ -130,10 +141,12 @@ def _compute_goals(bundle, goals, args, project_order):
     Goal = nfio.Goal
     if Goal.F_VECTOR in goals or Goal.FACE_LATTICE in goals:
         bundle.f_vector = f_vector(analyzed)
-    if Goal.TRIANGULATION in goals:
-        bundle.triangulation = triangulate(analyzed, order=args.order)
-    if Goal.VOLUME in goals:
-        bundle.volume = volume(analyzed, order=args.order)
+    if Goal.TRIANGULATION in goals or Goal.VOLUME in goals:
+        triangulation = triangulate(analyzed)
+        if Goal.TRIANGULATION in goals:
+            bundle.triangulation = triangulation
+        if Goal.VOLUME in goals:
+            bundle.volume = volume(analyzed, triangulation)
     if Goal.LATTICE_POINTS in goals or Goal.INTEGER_HULL in goals:
         bundle.lattice_points = lattice_points(analyzed, project_order=project_order)
     if Goal.INTEGER_HULL in goals:

@@ -1,10 +1,10 @@
 """Triangulation, volume, lattice points, and integer hull of polytopes.
 
 The volume of a full-dimensional polytope is the sum of the absolute
-determinants of the simplices of a placing triangulation of the cone over
-it, with each generator row rescaled to dehomogenized form; that sum is the
-lattice normalized volume, an exact field element, and the Euclidean volume
-is its value divided by d factorial.
+determinants of the simplices of a pulling triangulation, read off the
+vertex-facet incidences, with each vertex row rescaled to dehomogenized
+form; that sum is the lattice normalized volume, an exact field element,
+and the Euclidean volume is its value divided by d factorial.
 
 Lattice points are enumerated by project-and-lift: the support hyperplane
 system is projected one coordinate at a time (last coordinate first) by
@@ -15,10 +15,10 @@ lifted back level by level inside exact bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from . import linalg
-from .dualize import ConeInput, dualize, normalize
+from .dualize import normalize
 from .errors import NotAPolytope, NotFullDimensional
 from .numfield import sig_decimal_str
 from .polyhedron import PolyhedronModel, analyze
@@ -26,10 +26,10 @@ from .polyhedron import PolyhedronModel, analyze
 
 @dataclass
 class Triangulation:
-    """Placing triangulation of the cone over a polytope.
+    """Pulling triangulation of the cone over a polytope.
 
-    Each simplex is a tuple of vertex indices; its determinant is taken on
-    the dehomogenized rows (last coordinate scaled to 1), so the absolute
+    Each simplex is a sorted tuple of vertex indices; its determinant is taken
+    on the dehomogenized rows (last coordinate scaled to 1), so the absolute
     determinants add up to the lattice normalized volume.
     """
 
@@ -64,8 +64,15 @@ class LatticePointSet:
         return [p[:-1] for p in self.points]
 
 
-def triangulate(analyzed, order="input"):
-    """Placing triangulation of the homogenized vertex cone, insertion order."""
+def triangulate(analyzed):
+    """Pulling triangulation of a full-dimensional polytope, from incidences.
+
+    A k-face with k+1 vertices is a simplex; any other face is coned from its
+    lowest-index vertex over its facets missing that vertex, which are the
+    inclusion-maximal proper cuts of the face with the polytope's facets.
+    The pull order is global, so a face shared by two branches is split
+    alike in both (De Loera, Rambau & Santos, *Triangulations*, 2010, 4.3).
+    """
     if not analyzed.is_polytope:
         raise NotAPolytope("triangulation requires a bounded feasible polyhedron")
     if analyzed.affine_dim != analyzed.dim:
@@ -73,29 +80,36 @@ def triangulate(analyzed, order="input"):
             f"polytope has affine dimension {analyzed.affine_dim} "
             f"in {analyzed.dim}-space"
         )
-    cone = ConeInput(
-        analyzed.field, analyzed.dim + 1, generators=list(analyzed.vertices)
-    )
-    result = dualize(cone, track_triangulation=True, order=order)
-    simplices = []
-    determinants = []
-    for simplex, raw_det in result.triangulation:
-        scale = None
-        for i in simplex:
-            t = result.generators[i][-1]
-            scale = t if scale is None else scale * t
-        simplices.append(simplex)
-        determinants.append(raw_det / scale)
+    rows = analyzed.vertices
+    pulled = {}  # face bitset -> sorted vertex index tuples of its simplices
+
+    def pull(face, k):
+        if face in pulled:
+            return pulled[face]
+        if face.bit_count() == k + 1:
+            simplices = [tuple(i for i in range(len(rows)) if face >> i & 1)]
+        else:
+            apex = face & -face
+            cuts = {face & r for r in analyzed.incidence} - {face}
+            simplices = []
+            for sub in sorted(cuts):
+                if sub & apex or any(sub != c and sub & c == sub for c in cuts):
+                    continue
+                simplices += [(apex.bit_length() - 1,) + s for s in pull(sub, k - 1)]
+        pulled[face] = simplices
+        return simplices
+
+    simplices = pull((1 << len(rows)) - 1, analyzed.dim)
+    determinants = [
+        linalg.det([list(rows[i]) for i in s]) / prod(rows[i][-1] for i in s)
+        for s in simplices
+    ]
     return Triangulation(simplices=simplices, determinants=determinants)
 
 
-def volume(analyzed, order="input"):
-    """Lattice normalized volume (exact) of a full-dimensional polytope."""
-    tri = triangulate(analyzed, order=order)
-    field = analyzed.field
-    total = field.zero
-    for d in tri.determinants:
-        total = total + abs(d)
+def volume(analyzed, triangulation):
+    """Lattice normalized volume (exact) from the polytope's `Triangulation`."""
+    total = sum((abs(d) for d in triangulation.determinants), analyzed.field.zero)
     return VolumeResult(normalized=total, dim=analyzed.dim)
 
 

@@ -25,6 +25,10 @@ generator lies on every facet it lies on.
 When every current facet is simplicial (exactly d-1 incident generators),
 adjacency reduces to bitset work on (d-2)-subsets shared by exactly two
 facets, which keeps cyclic-polytope runs feasible.
+
+The engine computes the double description and nothing else: the face
+lattice, triangulations, volumes and automorphisms are computed afterwards
+from its result, so every polyhedron is dualized once.
 """
 
 from __future__ import annotations
@@ -98,14 +102,12 @@ class DualizationState:
     field: object
     dim: int
     gens: list  # all (projected, normalized) generators, full input order
-    processed: int  # number of generators already folded in
     sigmas: list  # current extreme rays of the dual cone
     incidence: list  # per sigma: bitset of processed generators it vanishes on
     simplicial: list  # per sigma: whether exactly dim-1 incident generators
-    triangulation: list | None = None  # simplices as index tuples, placing order
 
 
-def initial_dual(gens, basis_idx, field, track_triangulation=False):
+def initial_dual(gens, basis_idx, field):
     """Dual of the simplicial cone spanned by the chosen basis generators."""
     d = len(basis_idx)
     basis_rows = [list(gens[i]) for i in basis_idx]
@@ -124,11 +126,9 @@ def initial_dual(gens, basis_idx, field, track_triangulation=False):
         field=field,
         dim=d,
         gens=gens,
-        processed=len(basis_idx),
         sigmas=sigmas,
         incidence=incidence,
         simplicial=[True] * d,
-        triangulation=[tuple(basis_idx)] if track_triangulation else None,
     )
     return state
 
@@ -233,11 +233,7 @@ def fm_step(state, new_idx):
         for t in zero:
             state.incidence[t] |= new_bit
             state.simplicial[t] = state.incidence[t].bit_count() == d - 1
-        state.processed += 1
         return state
-
-    if state.triangulation is not None:
-        _extend_triangulation(state, new_idx, neg)
 
     if d >= 2 and all(state.simplicial):
         pairs = _simplicial_pairs(state, pos, neg)
@@ -264,21 +260,7 @@ def fm_step(state, new_idx):
     state.sigmas = new_sigmas
     state.incidence = new_incidence
     state.simplicial = [m.bit_count() == d - 1 for m in new_incidence]
-    state.processed += 1
     return state
-
-
-def _extend_triangulation(state, new_idx, visible):
-    """Cone over the restrictions of existing simplices to visible facets."""
-    d = state.dim
-    added = []
-    for t in visible:
-        facet_mask = state.incidence[t]
-        for simplex in state.triangulation:
-            on_facet = [i for i in simplex if facet_mask >> i & 1]
-            if len(on_facet) == d - 1:
-                added.append(tuple(on_facet) + (new_idx,))
-    state.triangulation.extend(added)
 
 
 @dataclass
@@ -293,7 +275,6 @@ class DualizationResult:
     extreme: list  # indices into `generators` that are extreme rays
     support_hyperplanes: list  # normalized forms, ambient coordinates
     incidence: list  # per hyperplane: bitset over `generators`
-    triangulation: list | None = None  # (index tuple, determinant) pairs
 
     @property
     def pointed(self):
@@ -307,7 +288,7 @@ class DualizationResult:
         return [self.generators[i] for i in self.extreme]
 
 
-def dualize(cone, track_triangulation=False, order="input"):
+def dualize(cone, order="input"):
     """Extreme rays, support hyperplanes, and incidence of a cone.
 
     With `generators` input this is a convex hull computation; with
@@ -328,14 +309,12 @@ def dualize(cone, track_triangulation=False, order="input"):
             index_of[v] = len(normalized)
             normalized.append(v)
     if not normalized:
-        return DualizationResult(
-            field, cone.dim, 0, 0, [], [], [], [], [] if track_triangulation else None
-        )
+        return DualizationResult(field, cone.dim, 0, 0, [], [], [], [])
 
     basis, projected = linalg.restrict_to_span(normalized)
     r = basis.rank
     basis_idx = linalg.find_basis_among(projected, r)
-    state = initial_dual(projected, basis_idx, field, track_triangulation)
+    state = initial_dual(projected, basis_idx, field)
 
     chosen = set(basis_idx)
     rest = [i for i in range(len(projected)) if i not in chosen]
@@ -378,13 +357,6 @@ def dualize(cone, track_triangulation=False, order="input"):
             if common == 1 << i:
                 extreme.append(i)
 
-    triangulation = None
-    if track_triangulation and state.triangulation is not None:
-        triangulation = [
-            (simplex, linalg.det([list(projected[i]) for i in simplex]))
-            for simplex in state.triangulation
-        ]
-
     ambient_sigmas = [basis.scatter(s) for s in sigmas]
     return DualizationResult(
         field=field,
@@ -395,5 +367,4 @@ def dualize(cone, track_triangulation=False, order="input"):
         extreme=extreme,
         support_hyperplanes=ambient_sigmas,
         incidence=list(incidence),
-        triangulation=triangulation,
     )

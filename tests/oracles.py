@@ -334,6 +334,54 @@ def monte_carlo_volume(analyzed, rng, samples=100_000):
 
 
 # ----------------------------------------------------------------------------
+# placing triangulation by beneath-beyond (volume oracle in any dimension)
+
+def placing_normalized_volume(analyzed):
+    """Lattice normalized volume of a full-dimensional polytope by placing.
+
+    The first affinely independent vertices form the initial simplex.  Every
+    later vertex, in index order, is coned over the boundary faces of the
+    current triangulation that it sees; a face's hyperplane is its kernel,
+    oriented towards the simplex it bounds.  Neither the FM engine nor the
+    incidences of `analyzed` are used.  (Facets of every prefix from
+    `brute_force_dual` would cost C(n, d) ranks per prefix.)
+    """
+    field = analyzed.field
+    rows = [list(r) for r in analyzed.vertices]
+    first = []
+    for i in range(len(rows)):
+        if linalg.rank([rows[j] for j in first + [i]]) > len(first):
+            first.append(i)
+    simplices = [tuple(first)]
+    kernels = {}
+    for i in range(len(rows)):
+        if i in first:
+            continue
+        opposite = {}  # (d-1)-face -> vertices completing it to a simplex
+        for simplex in simplices:
+            for k, apex in enumerate(simplex):
+                face = simplex[:k] + simplex[k + 1 :]
+                opposite.setdefault(face, []).append(apex)
+        for face, apexes in opposite.items():
+            if len(apexes) != 1:
+                continue  # interior face
+            if face not in kernels:
+                (kappa,) = linalg.null_space([rows[j] for j in face])
+                if _dot(kappa, rows[apexes[0]]).sign() < 0:
+                    kappa = [-x for x in kappa]
+                kernels[face] = kappa
+            if _dot(kernels[face], rows[i]).sign() < 0:
+                simplices.append(tuple(sorted(face + (i,))))
+    total = field.zero
+    for simplex in simplices:
+        value = linalg.det([rows[j] for j in simplex])
+        for j in simplex:
+            value = value / rows[j][-1]
+        total = total + abs(value)
+    return total
+
+
+# ----------------------------------------------------------------------------
 # exact polygon area (d = 2 volume oracle)
 
 def polygon_normalized_volume(analyzed):

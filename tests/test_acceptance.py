@@ -25,6 +25,7 @@ from algpoly import (
     field_create,
     lattice_points,
     parse_input,
+    triangulate,
     volume,
 )
 from algpoly.cli import bench_instance, main as cli_main
@@ -64,7 +65,7 @@ def test_criterion_1_icosahedron_end_to_end(tmp_path):
     pts = lattice_points(analyzed)
     assert pts.points == [(0, 0, 0, 1)]
 
-    vol = volume(analyzed)
+    vol = volume(analyzed, triangulate(analyzed))
     a = spec.field.gen()
     assert vol.normalized == a * Fraction(5, 2) + Fraction(15, 2)
     euclid = vol.euclidean_fraction(14)

@@ -67,6 +67,21 @@ class TestRun:
     def test_bad_flag_is_input_error(self):
         assert run_cli(["--euclid-digits", "x"]) == 1
 
+    @pytest.mark.parametrize("value", ["-3", "0", "x"])
+    def test_euclid_digits_must_be_positive(self, workdir, capsys, value):
+        path = workdir / "cube.in"
+        assert run_cli([str(path), "--goals", "Volume", "--euclid-digits", value]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (workdir / "cube.out").exists()
+
+    @pytest.mark.parametrize("value", ["x", "0,0,1", "0,1"])
+    def test_project_order_must_be_permutation(self, workdir, capsys, value):
+        path = workdir / "cube.in"
+        args = [str(path), "--goals", "LatticePoints", "--project-order", value]
+        assert run_cli(args) == 1
+        assert "input error:" in capsys.readouterr().err
+        assert not (workdir / "cube.out").exists()
+
     def test_workers_flag_rejected(self, workdir):
         assert run_cli([str(workdir / "cube.in"), "--workers", "2"]) == 1
         assert not (workdir / "cube.out").exists()
@@ -139,6 +154,24 @@ class TestGolden:
         assert len(calls) == 1
         golden = GOLDEN / "cube_lattice_hull.out"
         assert (workdir / "cube.out").read_bytes() == golden.read_bytes()
+
+
+    def test_triangulation_computed_once(self, workdir, monkeypatch):
+        calls = []
+        original = discrete.triangulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(discrete, "triangulate", counted)
+        monkeypatch.setattr(cli, "triangulate", counted)
+        path = workdir / "cube.in"
+        assert run_cli([str(path), "--goals", "Triangulation,Volume"]) == 0
+        assert len(calls) == 1
+        out = (workdir / "cube.out").read_text()
+        assert "volume (lattice normalized) = 6" in out
+        assert "6 simplices of triangulation (dehomogenized determinants):" in out
 
 
 class TestBench:

@@ -1,17 +1,41 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from algpoly import PolyhedronModel, analyze, integer_hull, lattice_points, triangulate, volume
+from algpoly import discrete, polyhedron
+from algpoly.cli import bench_field, bench_vertices, scale_columns
 from algpoly.errors import NotAPolytope, NotFullDimensional
 
 from oracles import (
     box_scan_lattice,
     monte_carlo_volume,
+    placing_normalized_volume,
     polygon_normalized_volume,
     random_polytope,
 )
+
+
+def _scaled(int_vertices, dim, cls):
+    field = bench_field(cls)
+    vertices = [tuple(field.from_rational(x) for x in row) for row in int_vertices]
+    return analyze(PolyhedronModel(field, dim, vertices=scale_columns(vertices, field)))
+
+
+def _cross_polytope(d):
+    return [
+        tuple(s if k == i else 0 for k in range(d)) for i in range(d) for s in (1, -1)
+    ], d
+
+
+def _assert_matches_placing(analyzed):
+    tri = triangulate(analyzed)
+    for simplex, det in zip(tri.simplices, tri.determinants):
+        assert len(set(simplex)) == analyzed.dim + 1
+        assert not det.is_zero()
+    assert volume(analyzed, tri).normalized == placing_normalized_volume(analyzed)
 
 
 class TestTriangulate:
@@ -44,14 +68,53 @@ class TestTriangulate:
             triangulate(flat)
 
 
+class TestPullingTriangulation:
+    """Pulling triangulations give the volumes of an independent placing one."""
+
+    @pytest.mark.parametrize("algebraic", [False, True])
+    def test_random_polytopes(self, qq, qsqrt5, algebraic):
+        field = qsqrt5 if algebraic else qq
+        rng = random.Random(41 if algebraic else 42)
+        for d in (2, 3, 4):
+            for _ in range(3):
+                pts = random_polytope(rng, field, d, rng.randint(d + 2, d + 5), algebraic)
+                _assert_matches_placing(analyze(PolyhedronModel(field, d, vertices=pts)))
+
+    @pytest.mark.parametrize("cls", ["sc2", "p12"])
+    @pytest.mark.parametrize(
+        "polytope",
+        [
+            bench_vertices("scaled-cube", (3,)),
+            _cross_polytope(4),
+            bench_vertices("order-poly", (4,)),
+            bench_vertices("cyclic", (5, 8)),
+        ],
+        ids=["cube", "cross-polytope", "order-poly-4", "cyclic-5-8"],
+    )
+    def test_bench_families(self, polytope, cls):
+        _assert_matches_placing(_scaled(*polytope, cls))
+
+    def test_no_dualization(self, icosahedron, qsqrt5, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("triangulate and volume must not dualize")
+
+        engine = importlib.import_module("algpoly.dualize")
+        monkeypatch.setattr(engine, "dualize", refuse)
+        monkeypatch.setattr(polyhedron, "dualize", refuse)
+        monkeypatch.setattr(discrete, "dualize", refuse, raising=False)
+        tri = triangulate(icosahedron)
+        a = qsqrt5.gen()
+        assert volume(icosahedron, tri).normalized == (5 * a + 15) / 2
+
+
 class TestVolume:
     def test_unit_cube(self, unit_cube):
-        v = volume(unit_cube)
+        v = volume(unit_cube, triangulate(unit_cube))
         assert v.normalized == 6
         assert v.euclidean_str(10) == "1.000000000"
 
     def test_icosahedron(self, icosahedron, qsqrt5):
-        v = volume(icosahedron)
+        v = volume(icosahedron, triangulate(icosahedron))
         a = qsqrt5.gen()
         assert v.normalized == (5 * a + 15) / 2
         assert v.euclidean_str(12) == "2.18169499062"
@@ -64,7 +127,7 @@ class TestVolume:
         square = analyze(
             PolyhedronModel(qsqrt5, 2, vertices=[(z, z), (a, z), (z, a), (a, a)])
         )
-        v = volume(square)
+        v = volume(square, triangulate(square))
         assert v.normalized == 10
         assert v.euclidean_str(11) == "5.0000000000"
 
@@ -72,17 +135,17 @@ class TestVolume:
         q = qq.from_rational
         r = analyze(PolyhedronModel(qq, 1, inequalities=[(q(1), q(0))]))
         with pytest.raises(NotAPolytope):
-            volume(r)
+            volume(r, triangulate(r))
 
     def test_insertion_order_invariance(self, qsqrt5, icosahedron):
         rng = random.Random(7)
-        reference = volume(icosahedron).normalized
+        reference = volume(icosahedron, triangulate(icosahedron)).normalized
         verts = [tuple(p) for p in icosahedron.vertex_points()]
         for _ in range(20):
             shuffled = verts[:]
             rng.shuffle(shuffled)
             r = analyze(PolyhedronModel(qsqrt5, 3, vertices=shuffled))
-            assert volume(r).normalized == reference
+            assert volume(r, triangulate(r)).normalized == reference
 
     def test_against_polygon_oracle(self, qq, qsqrt5):
         rng = random.Random(8)
@@ -90,14 +153,14 @@ class TestVolume:
             for _ in range(6):
                 pts = random_polytope(rng, field, 2, rng.randint(3, 7), algebraic)
                 analyzed = analyze(PolyhedronModel(field, 2, vertices=pts))
-                assert volume(analyzed).normalized == polygon_normalized_volume(analyzed)
+                assert volume(analyzed, triangulate(analyzed)).normalized == polygon_normalized_volume(analyzed)
 
     def test_against_monte_carlo_3d(self, qq):
         rng = random.Random(99)
         for _ in range(3):
             pts = random_polytope(rng, qq, 3, rng.randint(5, 8), False)
             analyzed = analyze(PolyhedronModel(qq, 3, vertices=pts))
-            exact = float(Fraction(volume(analyzed).euclidean_fraction(12)))
+            exact = float(Fraction(volume(analyzed, triangulate(analyzed)).euclidean_fraction(12)))
             estimate = monte_carlo_volume(analyzed, rng, samples=120_000)
             assert abs(estimate - exact) <= 0.02 * max(exact, 1e-9) + 1e-9
 
@@ -175,7 +238,7 @@ class TestIntegerHull:
         )
         hull = integer_hull(square, lattice_points(square))
         assert len(hull.vertices) == 4
-        assert volume(hull).normalized == 8  # square of side 2
+        assert volume(hull, triangulate(hull)).normalized == 8  # square of side 2
 
     def test_empty_hull(self, qq):
         q = qq.from_rational

@@ -11,6 +11,7 @@ from algpoly import (
     f_vector,
     lattice_points,
     parse_input,
+    triangulate,
     volume,
     write_automorphisms,
     write_results,
@@ -35,7 +36,7 @@ def icosa_spec():
 def icosa_run(icosa_spec):
     analyzed = analyze(build_model(icosa_spec))
     bundle = ResultBundle(analyzed=analyzed, goals=icosa_spec.goals)
-    bundle.volume = volume(analyzed)
+    bundle.volume = volume(analyzed, triangulate(analyzed))
     bundle.lattice_points = lattice_points(analyzed)
     bundle.f_vector = f_vector(analyzed)
     bundle.automorphisms["euclidean"] = automorphisms(analyzed, "euclidean")
@@ -135,7 +136,7 @@ class TestWriteResults:
 
     def test_rational_bundle(self, unit_cube):
         bundle = ResultBundle(analyzed=unit_cube, goals=[Goal.VOLUME])
-        bundle.volume = volume(unit_cube)
+        bundle.volume = volume(unit_cube, triangulate(unit_cube))
         text = write_results(bundle)
         assert "volume (lattice normalized) = 6" in text
         assert "Real embedded number field" not in text
