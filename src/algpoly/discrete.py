@@ -9,7 +9,10 @@ and the Euclidean volume is its value divided by d factorial.
 Lattice points are enumerated by project-and-lift: the support hyperplane
 system is projected one coordinate at a time (last coordinate first) by
 Fourier-Motzkin elimination of the variable, and integer candidates are
-lifted back level by level inside exact bounds.
+lifted back level by level inside exact bounds.  Every projected row carries
+the set of vertices it is tight on, so each elimination step keeps, without
+arithmetic, only the implicit equations and one row per facet of the
+projection; only those rows are formed and normalized.
 """
 
 from __future__ import annotations
@@ -116,82 +119,105 @@ def volume(analyzed, triangulation):
 # ----------------------------------------------------------------------------
 # project-and-lift
 
-def _project_once(rows, var, field):
-    """Eliminate variable `var` from inequality rows (l, c): l.x + c >= 0."""
-    kept = []
-    pos, neg = [], []
-    for row in rows:
+def _project_once(system, var, field, full):
+    """Eliminate variable `var` from (row, tight) pairs, keeping facet rows.
+
+    A row (l, c) stands for l.x + c >= 0 and `tight` is the bitset of the
+    polytope's vertices on which it vanishes.  A pos x neg combination
+    vanishes on a vertex exactly when both parents do, so its tight set is
+    the AND of theirs and is known before any arithmetic (the combinatorial
+    test of Fukuda & Prodon, 1996).  Kept are the rows tight on every vertex
+    (the implicit equations, deduplicated by `normalize`) and one row per
+    inclusion-maximal proper tight set: the facets of the projection.  They
+    define the projection, since a system defining a polytope has a row for
+    each of its facets, so the next step finds every facet again.
+    """
+    pos, neg, candidates = [], [], []
+    for row, tight in system:
         s = row[var].sign()
-        if s == 0:
-            kept.append(row[:var] + row[var + 1 :])
-        elif s > 0:
-            pos.append(row)
+        if s > 0:
+            pos.append((row, tight))
+        elif s < 0:
+            neg.append((row, tight))
         else:
-            neg.append(row)
+            candidates.append((tight, row, None))
+    candidates += [(tp & tn, p, n) for p, tp in pos for n, tn in neg]
+
+    # a proper tight set is maximal iff no larger maximal one contains it;
+    # a row tight on no vertex is never a facet
+    facets = set()
+    for t in sorted({t for t, _, _ in candidates if t != full and t},
+                    key=int.bit_count, reverse=True):
+        if not any(t & m == t for m in facets):
+            facets.add(t)
+
     seen = set()
     out = []
-    for row in kept:
-        if any(x.sign() != 0 for x in row):
-            v = normalize(row, field)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    for p in pos:
-        for n in neg:
-            comb = tuple(
-                p[var] * n[k] - n[var] * p[k]
-                for k in range(len(p))
-                if k != var
+    for tight, p, n in candidates:
+        if tight != full and tight not in facets:
+            continue
+        if n is None:
+            row = p[:var] + p[var + 1 :]
+        else:
+            row = tuple(
+                p[var] * n[k] - n[var] * p[k] for k in range(len(p)) if k != var
             )
-            if all(x.sign() == 0 for x in comb):
-                continue
-            v = normalize(comb, field)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
+        if not any(row[:-1]):
+            continue
+        v = normalize(row, field)
+        if v not in seen:
+            seen.add(v)
+            out.append((v, tight))
+        facets.discard(tight)  # one row stands for each facet
     return out
+
+
+def _projected_systems(analyzed, perm):
+    """Level -> (row, tight) system of the polytope projected to its first
+    `level` coordinates after permuting them by `perm`."""
+    field = analyzed.field
+    d = analyzed.dim
+    full = (1 << len(analyzed.vertices)) - 1
+    # hyperplane rows are (l, c) with l.x + c >= 0 for dehomogenized points;
+    # apply the coordinate permutation to the l part
+    constraints = list(zip(analyzed.support_hyperplanes, analyzed.incidence))
+    if analyzed.affine_dim < d:
+        # pin lower-dimensional polytopes to their affine hull
+        for eq in linalg.null_space(analyzed.generator_rows()):
+            constraints.append((eq, full))
+            constraints.append((tuple(-x for x in eq), full))
+    systems = {d: [(tuple(h[p] for p in perm) + (h[-1],), t) for h, t in constraints]}
+    for level in range(d, 1, -1):
+        systems[level - 1] = _project_once(systems[level], level - 1, field, full)
+    return systems
 
 
 def lattice_points(analyzed, project_order=None):
     """All integer points of a polytope, by project-and-lift.
 
     `project_order` optionally permutes the coordinates before projection;
-    the default eliminates coordinates in reverse index order.
+    the default eliminates coordinates in reverse index order.  Each row of
+    the projected systems carries the set of vertices it is tight on, and
+    each elimination step keeps only the implicit equations and one row per
+    facet of the projection, chosen from those sets without arithmetic.
     """
     if not analyzed.is_polytope:
         raise NotAPolytope("lattice point enumeration requires a polytope")
-    field = analyzed.field
     d = analyzed.dim
     if d == 0:
         return LatticePointSet(points=[(1,)])
     perm = list(project_order) if project_order is not None else list(range(d))
     if sorted(perm) != list(range(d)):
         raise ValueError(f"project order {perm!r} is not a permutation of 0..{d-1}")
-
-    # hyperplane rows are (l, c) with l.x + c >= 0 for dehomogenized points;
-    # apply the coordinate permutation to the l part
-    constraints = list(analyzed.support_hyperplanes)
-    if analyzed.affine_dim < d:
-        # pin lower-dimensional polytopes to their affine hull
-        for eq in linalg.null_space(analyzed.generator_rows()):
-            constraints.append(eq)
-            constraints.append(tuple(-x for x in eq))
-    rows = []
-    for h in constraints:
-        rows.append(tuple(h[p] for p in perm) + (h[-1],))
-
-    systems = {d: rows}
-    for level in range(d, 1, -1):
-        systems[level - 1] = _project_once(systems[level], level - 1, field)
+    systems = _projected_systems(analyzed, perm)
 
     points = []
     prefix = []
 
     def lift(level):
-        rows_here = systems[level]
         lower = None
         upper = None
-        for row in rows_here:
+        for row, _ in systems[level]:
             b = row[level - 1]
             s = b.sign()
             if s == 0:

@@ -27,6 +27,10 @@ class DivisionByZero(AlgpolyError, ZeroDivisionError):
     """Inversion of zero, or of a zero divisor under a reducible polynomial."""
 
 
+class VanishingElement(AlgpolyError):
+    """A nonzero element is zero at the embedding of a reducible polynomial."""
+
+
 class ElementSyntaxError(AlgpolyError):
     """A field element literal does not match the element grammar."""
 

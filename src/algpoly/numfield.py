@@ -11,6 +11,10 @@ evaluated on an enclosing interval of the generator with outward-rounded
 dyadic interval arithmetic.  While the value interval straddles zero, the
 working precision of the evaluation is doubled first, then the generator
 enclosure is replaced by one with twice the number of correct digits.
+Once that refinement passes `_ZERO_TEST_DIGITS`, the element polynomial is
+tested for a common root with a reducible defining polynomial inside the
+enclosure: such an element is nonzero in Q[a] but zero at the embedding, so
+its sign cannot be decided and `VanishingElement` is raised instead.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from .errors import (
     FieldMismatch,
     NoRootInInterval,
     NotSquareFree,
+    VanishingElement,
     ZeroPolynomial,
 )
 
 _INITIAL_BITS = 64
 _INITIAL_DIGITS = 20  # decimal digits carried by the initial generator enclosure
+_ZERO_TEST_DIGITS = 300  # generator digits past which sign() tests for a zero
 
 
 # ----------------------------------------------------------------------------
@@ -592,6 +598,7 @@ class NFElem:
             return self._sign
         f = self.field
         bits = _INITIAL_BITS
+        tested = False
         while True:
             glo, ghi = f._gen_scaled(bits)
             rlo, rhi = _eval_interval(self.coeffs, glo, ghi, bits)
@@ -611,6 +618,28 @@ class NFElem:
                 self._sign = -1
                 return -1
             f.refine_generator(2 * max(f._digits, 1))  # then double generator digits
+            if not tested and f._digits >= _ZERO_TEST_DIGITS:
+                tested = True
+                self._refuse_if_vanishing()
+
+    def _refuse_if_vanishing(self):
+        """Raise `VanishingElement` if the value at the embedding is zero.
+
+        A zero of the element at the generator is a common root of the
+        element polynomial and the defining polynomial, hence a root of their
+        gcd; the enclosure isolates the generator, so counting the roots of
+        the gcd in it decides the question exactly.
+        """
+        f = self.field
+        g = _pgcd(_trim([Fraction(c) for c in self.coeffs]), list(f.min_poly))
+        if _deg(g) < 1:
+            return
+        lo, hi = f._lo, f._hi
+        if _peval(g, lo) == 0 or _count_roots(_sturm_chain(g), lo, hi) > 0:
+            raise VanishingElement(
+                f"element {render_poly(self.coeffs, self.den, f.gen_name)} "
+                "vanishes at the embedding: the defining polynomial is reducible"
+            )
 
     def compare(self, other):
         return (self - other).sign()

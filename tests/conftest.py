@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -10,6 +11,12 @@ from algpoly import EmbeddingInterval, PolyhedronModel, analyze, field_create, r
 
 REPO = Path(__file__).resolve().parent.parent
 INPUTS = REPO / "inputs"
+
+# property tests draw a fixed sequence of examples, so runs repeat exactly
+settings.register_profile(
+    "algpoly", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("algpoly")
 
 
 @pytest.fixture(scope="session")

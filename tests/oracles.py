@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: the dual cone
 oracle enumerates kernel vectors of generator subsets, face dimensions are
-ranks of generator rows, lattice points come from a bounding-box scan,
+ranks of generator rows, lattice points come from a bounding-box scan
+filtered by the support hyperplanes and the affine hull equations,
 cyclic polytope facets from the Gale evenness condition, automorphism counts
 from filtering all vertex permutations, and high-precision signs from
 sympy's isolated roots evaluated with mpmath.
@@ -130,20 +131,24 @@ def box_scan_lattice(analyzed, box_limit=10 ** 6):
         total *= hi - lo + 1
     assert total <= box_limit, f"box of {total} points exceeds the scan limit"
     hyps = analyzed.support_hyperplanes
+    # affine hull equations: forms vanishing on every generator row
+    equations = linalg.null_space([list(g) for g in analyzed.generator_rows()])
     points = []
     for candidate in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        ok = True
-        for h in hyps:
-            acc = h[-1]
-            for k in range(d):
-                if candidate[k]:
-                    acc = acc + h[k] * candidate[k]
-            if acc.sign() < 0:
-                ok = False
-                break
-        if ok:
+        if all(affine_value(e, candidate).is_zero() for e in equations) and all(
+            affine_value(h, candidate).sign() >= 0 for h in hyps
+        ):
             points.append(tuple(candidate) + (1,))
     return sorted(points)
+
+
+def affine_value(form, point):
+    """Value of the homogenized form (l, c) at the dehomogenized point."""
+    acc = form[-1]
+    for k, c in enumerate(point):
+        if c:
+            acc = acc + form[k] * c
+    return acc
 
 
 # ----------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +65,26 @@ class TestRun:
         unbounded = tmp_path / "ub.in"
         unbounded.write_text("amb_space 1\ninequalities 1\n1 0\nVolume\n")
         assert run_cli([str(unbounded)]) == 2
+
+    def test_reducible_polynomial_vanishing_entry_exit_two(self, tmp_path):
+        # a^3 - 3a^2 - 2a + 6 = (a^2 - 2)(a - 3); the embedding picks sqrt(2),
+        # where the vertex entry a^2 - 2 is zero
+        path = tmp_path / "reducible.in"
+        path.write_text(
+            "amb_space 2\n"
+            "number_field min_poly (a^3 - 3a^2 - 2a + 6) embedding [1.5 +/- 0.5]\n"
+            "vertices 3\n0 0 1\n(a^2-2) 0 1\n0 1 1\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "algpoly.cli", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("computation error:")
+        assert "vanishes at the embedding" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not path.with_suffix(".out").exists()
 
     def test_bad_flag_is_input_error(self):
         assert run_cli(["--euclid-digits", "x"]) == 1

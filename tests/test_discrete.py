@@ -3,14 +3,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from algpoly import PolyhedronModel, analyze, integer_hull, lattice_points, triangulate, volume
-from algpoly import discrete, polyhedron
+from algpoly import (
+    EmbeddingInterval,
+    PolyhedronModel,
+    analyze,
+    field_create,
+    integer_hull,
+    lattice_points,
+    rational_field,
+    triangulate,
+    volume,
+)
+from algpoly import discrete, linalg, polyhedron
 from algpoly.cli import bench_field, bench_vertices, scale_columns
 from algpoly.errors import NotAPolytope, NotFullDimensional
 
 from oracles import (
+    affine_value,
     box_scan_lattice,
+    hyperplane_set,
     monte_carlo_volume,
     placing_normalized_volume,
     polygon_normalized_volume,
@@ -215,6 +228,129 @@ class TestLatticePoints:
             pts = random_polytope(rng, field, d, rng.randint(d + 1, d + 4), algebraic)
             analyzed = analyze(PolyhedronModel(field, d, vertices=pts))
             assert lattice_points(analyzed).points == box_scan_lattice(analyzed)
+
+
+def _embedded_up(rng, field, pts):
+    """The points moved into one more dimension by x -> (x, l(x)), with the
+    new coordinate at a random position and l integral."""
+    coeffs = [rng.randint(-1, 1) for _ in pts[0]]
+    shift = field.from_rational(rng.randint(-1, 1))
+    pos = rng.randint(0, len(pts[0]))
+    out = []
+    for p in pts:
+        extra = sum((x * c for x, c in zip(p, coeffs)), shift)
+        out.append(p[:pos] + (extra,) + p[pos:])
+    return out
+
+
+def _h_twin(analyzed):
+    """The same polytope given by its support hyperplanes and affine hull."""
+    equations = []
+    if analyzed.affine_dim < analyzed.dim:
+        equations = [
+            tuple(e) for e in linalg.null_space([list(g) for g in analyzed.generator_rows()])
+        ]
+    model = PolyhedronModel(
+        analyzed.field,
+        analyzed.dim,
+        inequalities=list(analyzed.support_hyperplanes),
+        equations=equations,
+    )
+    return analyze(model)
+
+
+class TestPrunedProjection:
+    """The incidence-pruned projection against independent references."""
+
+    @pytest.mark.parametrize("algebraic", [False, True])
+    def test_random_against_box_scan(self, qq, qsqrt5, algebraic):
+        field = qsqrt5 if algebraic else qq
+        rng = random.Random(51 if algebraic else 52)
+        for d in (2, 3, 4):
+            for embedded in (False, True):
+                n = rng.randint(d + 2, d + 4)
+                pts = random_polytope(rng, field, d, n, algebraic, coord_range=3 if d < 4 else 2)
+                if embedded:
+                    pts = _embedded_up(rng, field, pts)
+                v_input = analyze(PolyhedronModel(field, len(pts[0]), vertices=pts))
+                assert v_input.affine_dim == d
+                expected = box_scan_lattice(v_input)
+                order = list(range(v_input.dim))
+                rng.shuffle(order)
+                for analyzed in (v_input, _h_twin(v_input)):
+                    assert lattice_points(analyzed).points == expected
+                    assert lattice_points(analyzed, project_order=order).points == expected
+
+    @pytest.mark.parametrize("algebraic", [False, True])
+    def test_each_level_is_irredundant(self, qq, qsqrt5, algebraic):
+        # every projected system holds exactly the facets of the projection,
+        # each with the set of vertices it is tight on
+        field = qsqrt5 if algebraic else qq
+        rng = random.Random(53 if algebraic else 54)
+        for d in (2, 3, 4):
+            for _ in range(2):
+                pts = random_polytope(rng, field, d, rng.randint(d + 2, d + 6), algebraic)
+                analyzed = analyze(PolyhedronModel(field, d, vertices=pts))
+                perm = list(range(d))
+                rng.shuffle(perm)
+                points = [tuple(p[k] for k in perm) for p in analyzed.vertex_points()]
+                for level, system in discrete._projected_systems(analyzed, perm).items():
+                    projected = [p[:level] for p in points]
+                    facets = analyze(PolyhedronModel(field, level, vertices=projected))
+                    rows = [row for row, _ in system]
+                    assert len(rows) == len(facets.support_hyperplanes)
+                    assert hyperplane_set(rows, field) == hyperplane_set(
+                        facets.support_hyperplanes, field
+                    )
+                    for row, tight in system:
+                        assert tight == sum(
+                            1 << i for i, p in enumerate(projected)
+                            if affine_value(row, p).is_zero()
+                        )
+
+
+_QQ = rational_field()
+_QSQRT5 = field_create([-5, 0, 1], EmbeddingInterval(1, 3))
+
+
+@st.composite
+def _small_polytopes(draw):
+    """Small V- or H-polytopes over Q or Q(sqrt5), possibly lower-dimensional."""
+    field = draw(st.sampled_from([_QQ, _QSQRT5]))
+    d = draw(st.integers(2, 3))
+
+    def entry(low, high, signs=(-1, 1)):
+        c = Fraction(draw(st.integers(low, high)), draw(st.sampled_from([1, 2])))
+        if field is _QSQRT5 and draw(st.booleans()):
+            return field.element([c, draw(st.sampled_from(signs))])
+        return field.from_rational(c)
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, d + 3))
+        vertices = [tuple(entry(-2, 2) for _ in range(d)) for _ in range(n)]
+        model = PolyhedronModel(field, d, vertices=vertices)
+    else:
+        one = field.one
+        inequalities = []
+        for k in range(d):  # a box around the origin keeps it bounded
+            unit = tuple(one if j == k else field.zero for j in range(d))
+            bound = field.from_rational(draw(st.integers(0, 3)))
+            inequalities.append(unit + (bound,))
+            inequalities.append(tuple(-x for x in unit) + (bound,))
+        for _ in range(draw(st.integers(0, 3))):
+            linear = tuple(field.from_rational(draw(st.integers(-2, 2))) for _ in range(d))
+            inequalities.append(linear + (entry(0, 4, signs=(1,)),))  # 0 stays inside
+        model = PolyhedronModel(field, d, inequalities=inequalities)
+    return analyze(model), draw(st.permutations(range(d)))
+
+
+class TestLatticeProperty:
+    @given(_small_polytopes())
+    def test_matches_box_scan(self, case):
+        analyzed, order = case
+        expected = box_scan_lattice(analyzed)
+        assert lattice_points(analyzed).points == expected
+        assert lattice_points(analyzed, project_order=order).points == expected
 
 
 class TestIntegerHull:

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from algpoly import EmbeddingInterval, field_create, parse_elem, render_elem
+from algpoly import EmbeddingInterval, field_create, numfield, parse_elem, render_elem
 from algpoly.errors import (
     DivisionByZero,
     ElementSyntaxError,
     FieldMismatch,
     NoRootInInterval,
     NotSquareFree,
+    VanishingElement,
     ZeroPolynomial,
 )
 
@@ -138,6 +140,41 @@ class TestOrdering:
     def test_is_rational(self, qsqrt5):
         assert qsqrt5.from_rational(Fraction(3, 4)).is_rational() == Fraction(3, 4)
         assert qsqrt5.gen().is_rational() is None
+
+    def test_element_vanishing_at_embedding_refused(self):
+        # (a^2 - 2)(a - 3) with the root sqrt(2) embedded: a^2 - 2 is not zero
+        # in Q[a] but is zero at the embedding, so no sign can be decided
+        ring = field_create([6, -2, -3, 1], EmbeddingInterval(1, 2))
+        x = ring.gen() ** 2 - 2
+        assert not x.is_zero()
+        with pytest.raises(VanishingElement):
+            x.sign()
+        with pytest.raises(VanishingElement):
+            (x * x).sign()
+        # the other factor's root lies outside the enclosure
+        assert (ring.gen() - 3).sign() == -1
+        assert (x + ring.from_rational(Fraction(1, 10 ** 40))).sign() == 1
+
+    def test_rational_root_embedding_refused(self):
+        # (a - 3/2)(a^2 - 2) embedded at 3/2: bisection lands on the root
+        ring = field_create(
+            [3, -2, Fraction(-3, 2), 1],
+            EmbeddingInterval(Fraction(29, 20), Fraction(31, 20)),
+        )
+        x = ring.gen() - Fraction(3, 2)
+        with pytest.raises(VanishingElement):
+            x.sign()
+        assert x.floor() == 0  # the enclosure alone decides it
+
+    def test_no_zero_test_below_threshold(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zero test run below the digit threshold")
+
+        field = field_create([-5, 0, 1], EmbeddingInterval(1, 3))
+        monkeypatch.setattr(numfield, "_pgcd", refuse)
+        approx = Fraction(isqrt(5 * 10 ** 80), 10 ** 40)  # just below sqrt(5)
+        assert (field.gen() - approx).sign() == 1
+        assert 20 < field.generator_digits < numfield._ZERO_TEST_DIGITS
 
     def test_refinement_monotone(self, qsqrt5):
         before = qsqrt5.generator_enclosure()
