@@ -26,7 +26,7 @@ from .discrete import (
 from .dualize import ConeInput, DualizationResult, dualize, normalize
 from .errors import AlgpolyError
 from .io import Goal, InputSpec, ResultBundle, build_model, parse_input, write_automorphisms, write_results
-from .linalg import det, find_basis_among, invert, rank, restrict_to_span, solve
+from .linalg import det, invert, rank, restrict_to_span
 from .numfield import (
     EmbeddingInterval,
     NFElem,
@@ -65,7 +65,6 @@ __all__ = [
     "f_vector",
     "face_lattice",
     "field_create",
-    "find_basis_among",
     "homogenize",
     "integer_hull",
     "invert",
@@ -77,7 +76,6 @@ __all__ = [
     "rational_field",
     "render_elem",
     "restrict_to_span",
-    "solve",
     "triangulate",
     "volume",
     "write_automorphisms",

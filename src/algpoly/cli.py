@@ -253,9 +253,9 @@ def bench_vertices(family, params):
 def scale_columns(vertices, field):
     """Scale coordinate j by gen**(j mod degree); preserves the combinatorics."""
     a = field.gen()
-    scales = [a ** (j % field.degree) for j in range(len(vertices[0]))]
+    powers = [a ** k for k in range(field.degree)]
     return [
-        tuple(x * s for x, s in zip(row, scales))
+        tuple(x * powers[j % field.degree] for j, x in enumerate(row))
         for row in vertices
     ]
 

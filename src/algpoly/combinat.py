@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .dualize import _bits
 from .errors import InconsistentFaceLattice, UnboundedPolyhedron
+from .linalg import _dot
 
 KINDS = ("combinatorial", "algebraic", "euclidean")
 
@@ -82,13 +84,6 @@ def face_lattice(analyzed):
 def f_vector(analyzed):
     """Face counts by dimension, bracketed by the empty face and the body."""
     return face_lattice(analyzed).f_vector
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ----------------------------------------------------------------------------
@@ -287,7 +282,7 @@ def automorphisms(analyzed, kind="combinatorial"):
         field = analyzed.field
         u = len(points)
         bary = tuple(
-            sum_elems([p[k] for p in points]) / u for k in range(analyzed.dim)
+            sum((p[k] for p in points), field.zero) / u for k in range(analyzed.dim)
         )
         centered = [tuple(p[k] - bary[k] for k in range(analyzed.dim)) for p in points]
         if kind == "euclidean":
@@ -299,11 +294,11 @@ def automorphisms(analyzed, kind="combinatorial"):
             # inertia-normalized Gram data: w_i^T M^-1 w_j with M the second
             # moment matrix of the centered vertices, an exact invariant of
             # invertible affine maps
-            span, projected = linalg.restrict_to_span(centered)
-            r = span.rank
+            _, cols, projected = linalg.restrict_to_span(centered)
+            r = len(cols)
             moment = [
                 [
-                    sum_elems([projected[k][i] * projected[k][j] for k in range(u)])
+                    sum((projected[k][i] * projected[k][j] for k in range(u)), field.zero)
                     for j in range(r)
                 ]
                 for i in range(r)
@@ -375,17 +370,6 @@ def _induced_facet_perm(perm, facet_masks, facet_set):
     return tuple(out)
 
 
-def sum_elems(elems):
-    acc = None
-    for e in elems:
-        acc = e if acc is None else acc + e
-    return acc
-
-
-def _dot(u, v):
-    return sum_elems([a * b for a, b in zip(u, v)])
-
-
 def _make_geometric_certifier(analyzed, centered, kind):
     """Certify candidates by solving for the affine map exactly."""
     field = analyzed.field
@@ -393,16 +377,10 @@ def _make_geometric_certifier(analyzed, centered, kind):
     # rows (p, 1) encode affine combinations as linear ones
     rows = [tuple(p) + (one,) for p in analyzed.vertex_points()]
     u = len(rows)
-    basis_idx = linalg.independent_rows([list(r) for r in rows])
-    basis_rows = [list(rows[i]) for i in basis_idx]
-    square_cols = linalg.independent_rows([list(c) for c in zip(*basis_rows)])
+    basis_idx, _, projected = linalg.restrict_to_span(rows)
     # coordinates of every vertex row in the chosen affine basis
-    sq = [[row[c] for c in square_cols] for row in basis_rows]
-    sq_inv = linalg.invert(sq)
-    coords = []
-    for i in range(u):
-        target = [rows[i][c] for c in square_cols]
-        coords.append(tuple(_dot(target, col) for col in zip(*sq_inv)))
+    sq_inv = linalg.invert([list(projected[i]) for i in basis_idx])
+    coords = [tuple(_dot(target, col) for col in zip(*sq_inv)) for target in projected]
 
     full_dim = analyzed.affine_dim == analyzed.dim
     w_basis_idx = (
@@ -413,15 +391,9 @@ def _make_geometric_certifier(analyzed, centered, kind):
         image_rows = [list(rows[perm[i]]) for i in basis_idx]
         if linalg.rank(image_rows) != len(basis_idx):
             return False
+        image_cols = list(zip(*image_rows))
         for i in range(u):
-            expect = rows[perm[i]]
-            got = [
-                sum_elems(
-                    [coords[i][k] * image_rows[k][c] for k in range(len(basis_idx))]
-                )
-                for c in range(len(expect))
-            ]
-            if tuple(got) != tuple(expect):
+            if tuple(_dot(coords[i], col) for col in image_cols) != rows[perm[i]]:
                 return False
         if kind == "euclidean" and full_dim:
             d = analyzed.dim

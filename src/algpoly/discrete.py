@@ -63,9 +63,6 @@ class LatticePointSet:
     def __len__(self):
         return len(self.points)
 
-    def dehomogenized(self):
-        return [p[:-1] for p in self.points]
-
 
 def triangulate(analyzed):
     """Pulling triangulation of a full-dimensional polytope, from incidences.

@@ -13,9 +13,11 @@ denominators by their lcm.  This makes representatives canonical up to the
 positive scalar, so duplicate detection is structural equality.
 
 No rank is computed to certify a new sigma or an extreme generator.  The
-processed prefix always spans the space (the run starts from a basis), so
-its dual is pointed, and on a pointed cone the combinatorial adjacency test
-is exact (Fukuda & Prodon, "Double description method revisited", 1996):
+generators are first written in span coordinates by
+`linalg.restrict_to_span`, and the run starts from the greedy basis that
+the same call picks, so the processed prefix always spans the space and
+its dual is pointed.  On a pointed cone the combinatorial adjacency test is
+exact (Fukuda & Prodon, "Double description method revisited", 1996):
 two extreme rays are adjacent iff no third extreme ray vanishes on every
 generator both vanish on.  Each combination of an adjacent pair is therefore
 an extreme ray of the new dual.  In the same way, once the final dual has
@@ -38,6 +40,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroVector
+from .linalg import _dot
 
 
 @dataclass
@@ -134,31 +137,11 @@ def initial_dual(gens, basis_idx, field):
 
 
 def _bits(mask):
+    """Indices of the set bits of an incidence bitset, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _dot(u, v):
-    field = u[0].field
-    if field.degree == 1:
-        # normalized vectors carry denominator 1, so this is integer work
-        num, den = 0, 1
-        for a, b in zip(u, v):
-            n = a.coeffs[0] * b.coeffs[0]
-            if n:
-                d = a.den * b.den
-                if d == den:
-                    num += n
-                else:
-                    num, den = num * d + n * den, den * d
-        return field._make((num,), den)
-    acc = None
-    for a, b in zip(u, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def _combine(vec_i, vec_j, val_i, val_j, field):
@@ -284,9 +267,6 @@ class DualizationResult:
     def lineality_dim(self):
         return self.span_rank - self.dual_rank
 
-    def extreme_rays(self):
-        return [self.generators[i] for i in self.extreme]
-
 
 def dualize(cone, order="input"):
     """Extreme rays, support hyperplanes, and incidence of a cone.
@@ -311,9 +291,8 @@ def dualize(cone, order="input"):
     if not normalized:
         return DualizationResult(field, cone.dim, 0, 0, [], [], [], [])
 
-    basis, projected = linalg.restrict_to_span(normalized)
-    r = basis.rank
-    basis_idx = linalg.find_basis_among(projected, r)
+    basis_idx, cols, projected = linalg.restrict_to_span(normalized)
+    r = len(cols)
     state = initial_dual(projected, basis_idx, field)
 
     chosen = set(basis_idx)
@@ -337,12 +316,8 @@ def dualize(cone, order="input"):
 
     sigmas = state.sigmas
     incidence = state.incidence
-    if not sigmas:
-        dual_rank = 0
-    elif linalg.rank_reaches(sigmas, r):
-        dual_rank = r
-    else:
-        dual_rank = linalg.rank(sigmas)
+    # the sigmas live in r-space, so the scan stops at rank r
+    dual_rank = len(linalg.independent_rows(sigmas))
 
     # extreme input rays of a pointed cone: no other generator lies on every
     # support form generator i lies on
@@ -357,7 +332,12 @@ def dualize(cone, order="input"):
             if common == 1 << i:
                 extreme.append(i)
 
-    ambient_sigmas = [basis.scatter(s) for s in sigmas]
+    ambient_sigmas = []
+    for s in sigmas:
+        form = [field.zero] * cone.dim
+        for c, x in zip(cols, s):
+            form[c] = x
+        ambient_sigmas.append(tuple(form))
     return DualizationResult(
         field=field,
         dim=cone.dim,

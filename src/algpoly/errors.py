@@ -45,10 +45,6 @@ class SingularMatrix(AlgpolyError):
     """Determinant is zero where an invertible matrix is required."""
 
 
-class RankDeficient(AlgpolyError):
-    """The given vectors do not span the required space."""
-
-
 class ZeroVector(AlgpolyError):
     """Normalization of the zero vector."""
 

@@ -1,9 +1,11 @@
 """Dense exact linear algebra over a number field.
 
 Matrices are plain lists of rows of NFElem.  Elimination uses exact field
-division with first-nonzero pivoting; over a degree-1 field, determinant and
-rank take a fraction-free (Bareiss) route on cleared integer rows instead,
-which avoids per-step gcd work.
+division with first-nonzero pivoting.  `restrict_to_span` is the one span
+computation: a greedy basis of the rows, the columns on which that basis is
+independent, and every row restricted to those columns.  Only `rank` and
+`det` take a fraction-free (Bareiss) route over a degree-1 field, on cleared
+integer rows, which avoids per-step gcd work.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import RankDeficient, ShapeMismatch, SingularMatrix
+from .errors import ShapeMismatch, SingularMatrix
 
 
 def _check_rect(rows):
@@ -171,25 +173,27 @@ def invert(rows):
     return [row[n:] for row in m]
 
 
-def solve(rows, rhs):
-    """Unique solution x of rows * x = rhs for square invertible rows."""
-    w = _check_rect(rows)
-    if len(rows) != w:
-        raise ShapeMismatch("solve requires a square matrix")
-    if len(rhs) != len(rows):
-        raise ShapeMismatch("right-hand side length mismatch")
-    inv_m = invert(rows)
-    return [
-        _dot(inv_row, rhs)
-        for inv_row in inv_m
-    ]
-
-
 def _dot(u, v):
+    """Exact dot product; the integer 0 for empty vectors, which carry no field."""
+    if not u:
+        return 0
+    field = u[0].field
+    if field.degree == 1:
+        # one integer fraction, reduced once; normalized rows keep den at 1
+        num, den = 0, 1
+        for a, b in zip(u, v):
+            n = a.coeffs[0] * b.coeffs[0]
+            if n:
+                d = a.den * b.den
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+        return field._make((num,), den)
     acc = None
     for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
+        t = a * b
+        acc = t if acc is None else acc + t
     return acc
 
 
@@ -244,56 +248,19 @@ def null_space(rows):
     return basis
 
 
-def find_basis_among(rows, dim):
-    """Indices of the lexicographically first independent subset of size dim."""
-    chosen = independent_rows(rows, stop_at=dim)
-    if len(chosen) < dim:
-        raise RankDeficient(f"generators span only {len(chosen)} of {dim} dimensions")
-    return chosen
-
-
-class SpanBasis:
-    """Coordinate change onto the span of a generator set.
-
-    `project` selects the column subset `cols`, which restricts to a linear
-    isomorphism on the span; `lift` is its inverse on the span.
-    """
-
-    def __init__(self, cols, basis_rows):
-        self.cols = cols
-        self.rank = len(cols)
-        self._basis = basis_rows
-        self._lift_matrix = None
-
-    def project(self, vec):
-        return tuple(vec[c] for c in self.cols)
-
-    def lift(self, vec):
-        if self._lift_matrix is None:
-            square = [[row[c] for c in self.cols] for row in self._basis]
-            self._lift_matrix = mat_mul(invert(square), self._basis)
-        return tuple(_dot(vec, col) for col in zip(*self._lift_matrix))
-
-    def scatter(self, form):
-        """Pull a linear form on the projected space back to ambient space."""
-        width = len(self._basis[0]) if self._basis else 0
-        field = form[0].field if form else None
-        out = [field.zero] * width
-        for k, c in enumerate(self.cols):
-            out[c] = form[k]
-        return tuple(out)
-
-
-def independent_rows(rows, stop_at=None):
+def independent_rows(rows):
     """Indices of a greedy independent subset, in input order.
 
-    With `stop_at` the scan ends as soon as that many rows were found, which
-    keeps rank certifications cheap on very long row lists.
+    The scan ends once the subset is as long as the rows are wide, since no
+    further row can be independent.
     """
+    width = len(rows[0]) if rows else 0
     chosen = []
     reduced = []
     pivots = []
     for idx, row in enumerate(rows):
+        if len(chosen) == width:
+            break
         work = list(row)
         for red, pc in zip(reduced, pivots):
             if work[pc].sign() != 0:
@@ -310,28 +277,25 @@ def independent_rows(rows, stop_at=None):
         reduced.append(work)
         pivots.append(pivot_col)
         chosen.append(idx)
-        if stop_at is not None and len(chosen) == stop_at:
-            break
     return chosen
 
 
-def rank_reaches(rows, target):
-    """Whether the rows have rank at least `target` (early exit)."""
-    if target <= 0:
-        return True
-    return len(independent_rows(rows, stop_at=target)) >= target
-
-
 def restrict_to_span(rows):
-    """Basis transform onto the span plus the projected generators."""
+    """Greedy basis of the span of the rows, and the rows in span coordinates.
+
+    Returns `(basis_idx, cols, projected)`: the indices of the greedy
+    independent rows, the columns on which those rows are independent (all
+    of them at full rank), and every row restricted to `cols`.  Restricting
+    to `cols` is an isomorphism on the span, so `basis_idx` is also the
+    greedy basis of `projected`, and a linear form on `projected` reads in
+    ambient coordinates with zeros outside `cols`.
+    """
     if not rows:
         raise ShapeMismatch("restrict_to_span of an empty generator list")
-    _check_rect(rows)
-    basis_rows = [list(rows[i]) for i in independent_rows(rows)]
-    r = len(basis_rows)
-    if r == 0:
-        basis = SpanBasis([], [])
-        return basis, [tuple() for _ in rows]
-    cols = independent_rows(list(zip(*basis_rows)), stop_at=r)
-    basis = SpanBasis(cols, basis_rows)
-    return basis, [basis.project(row) for row in rows]
+    w = _check_rect(rows)
+    basis_idx = independent_rows(rows)
+    if len(basis_idx) == w:
+        cols = list(range(w))
+    else:
+        cols = independent_rows(list(zip(*(rows[i] for i in basis_idx))))
+    return basis_idx, cols, [tuple(row[c] for c in cols) for row in rows]

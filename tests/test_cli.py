@@ -230,6 +230,22 @@ class TestBench:
         assert "benchmark cyclic(4, 8)" in out
         assert "rat" in out
 
+    @pytest.mark.parametrize("cls", ["sc2", "all"])
+    def test_bench_without_vertices(self, cls):
+        # cyclic(3,0) has no vertices: every class prints the empty row
+        proc = subprocess.run(
+            [sys.executable, "-m", "algpoly.cli", "--bench", "cyclic(3,0)", "--class", cls],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "warning" not in proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:-1]]
+        classes = list(cli.BENCH_CLASSES) if cls == "all" else [cls]
+        assert [row[0] for row in rows] == classes
+        assert all(row[2:] == ["0", "0", "1"] for row in rows)
+
     def test_bad_family(self):
         assert run_cli(["--bench", "moebius(3)"]) == 1
 

@@ -231,8 +231,10 @@ class TestAutomorphisms:
             sq = [rows[i] for i in basis]
             images = [rows[perm[i]] for i in basis]
             trans = linalg.mat_mul(linalg.invert(sq), images)
+            # coordinates of each row in the basis rows
+            coords_of = linalg.invert([list(c) for c in zip(*[rows[b] for b in basis])])
             for i, row in enumerate(rows):
-                coeff = linalg.solve([list(c) for c in zip(*[rows[b] for b in basis])], row)
+                coeff = linalg.mat_vec(coords_of, row)
                 image = [
                     sum((coeff[k] * images[k][c] for k in range(len(basis))), qsqrt5.zero)
                     for c in range(4)
@@ -240,9 +242,11 @@ class TestAutomorphisms:
                 assert image == rows[perm[i]]
 
     def test_single_vertex_polytope(self, qq):
-        pt = analyze(PolyhedronModel(qq, 2, vertices=[(qq.one, qq.one)]))
-        for kind in ("combinatorial", "algebraic", "euclidean"):
-            assert automorphisms(pt, kind).order == 1
+        # in 0-space the centered vertex is the empty vector
+        for dim, vertex in ((2, (qq.one, qq.one)), (0, ())):
+            pt = analyze(PolyhedronModel(qq, dim, vertices=[vertex]))
+            for kind in ("combinatorial", "algebraic", "euclidean"):
+                assert automorphisms(pt, kind).order == 1
 
     def test_lower_dimensional_chain(self, qq):
         # right isosceles triangle embedded in 3-space: one reflection is an

@@ -79,7 +79,8 @@ class TestInitialDual:
 
     def test_icosahedron_initial_simplex(self, icosahedron, qsqrt5):
         gens = [tuple(v) for v in icosahedron.vertices]
-        idx = linalg.find_basis_among([list(g) for g in gens], 4)
+        idx, _, _ = linalg.restrict_to_span([list(g) for g in gens])
+        assert len(idx) == 4
         state = initial_dual(gens, idx, qsqrt5)
         assert len(state.sigmas) == 4
         inverse = linalg.invert([list(gens[i]) for i in idx])
@@ -277,6 +278,41 @@ class TestDualize:
         assert not res.pointed
         assert res.lineality_dim == 1
         assert res.extreme == []
+
+
+class TestRanks:
+    @pytest.mark.parametrize("field_name", ["qq", "qsqrt5"])
+    def test_cone_with_lineality(self, request, field_name):
+        # the x-axis as lineality plus a square cone in (y, z, w), in 5-space
+        # with an unused last coordinate, so the span is a proper coordinate
+        # subspace and the dual has more extreme rays than its rank
+        field = request.getfixturevalue(field_name)
+        one, zero = field.one, field.zero
+        a = field.gen() + 1
+        gens = [(one, zero, zero, zero, zero), (-one, zero, zero, zero, zero)]
+        for y, z in ((one, zero), (-one, zero), (zero, one), (zero, -one)):
+            gens.append((a, y, z, one, zero))
+        res = dualize(ConeInput(field, 5, generators=gens))
+        assert (res.span_rank, res.dual_rank, res.lineality_dim) == (4, 3, 1)
+        assert not res.pointed and len(res.support_hyperplanes) == 4
+        for sigma in res.support_hyperplanes:
+            assert sigma[0] == zero and sigma[4] == zero
+            assert all(_dot(sigma, g).sign() >= 0 for g in gens)
+
+    def test_h_input_with_implied_equations(self, qq):
+        # x >= 0, y >= 0, -x - y >= 0 imply x = y = 0; with 0 <= z <= t the
+        # solutions form a 2-dimensional cone in 4-space
+        q = qq.from_rational
+        rows = [
+            (q(1), q(0), q(0), q(0)),
+            (q(0), q(1), q(0), q(0)),
+            (q(-1), q(-1), q(0), q(0)),
+            (q(0), q(0), q(1), q(0)),
+            (q(0), q(0), q(-1), q(1)),
+        ]
+        res = dualize(ConeInput(qq, 4, constraints=rows))
+        assert (res.span_rank, res.dual_rank, res.lineality_dim) == (4, 2, 2)
+        assert not res.pointed
 
 
 def _non_extreme_padding(rng, gens, field):

@@ -155,6 +155,17 @@ class TestOrdering:
         assert (ring.gen() - 3).sign() == -1
         assert (x + ring.from_rational(Fraction(1, 10 ** 40))).sign() == 1
 
+    def test_enclosure_of_vanishing_element_ends(self):
+        # enclosure() narrows the value interval without deciding a sign, so
+        # it ends on an element that is zero at the embedding
+        ring = field_create([6, -2, -3, 1], EmbeddingInterval(1, 2))
+        x = ring.gen() ** 2 - 2
+        width = Fraction(1, 10 ** 50)
+        lo, hi = x.enclosure(width)
+        assert lo <= 0 <= hi and hi - lo <= width
+        with pytest.raises(VanishingElement):
+            x.floor()
+
     def test_rational_root_embedding_refused(self):
         # (a - 3/2)(a^2 - 2) embedded at 3/2: bisection lands on the root
         ring = field_create(
