@@ -123,6 +123,13 @@ class TestBasisSelection:
         assert linalg.rank(rows[:4]) == 4  # generic
         assert linalg.independent_rows(rows) == [0, 1, 2, 3]
 
+    def test_rank_deficient(self, qq):
+        one = qq.one
+        assert linalg.independent_rows([[one, one], [one, one]]) == [0]
+        basis_idx, cols, projected = linalg.restrict_to_span([[one, one], [one, one]])
+        assert basis_idx == [0] and cols == [0]
+        assert projected == [(one,), (one,)]
+
 
 class TestRestrictToSpan:
     def test_plane_in_3space(self, qq):
@@ -141,6 +148,29 @@ class TestRestrictToSpan:
         )
         assert basis_idx == [0] and cols == [0]
         assert all(v[0].sign() > 0 for v in projected)
+
+    def test_lift_project_identity(self, qsqrt5):
+        rng = random.Random(42)
+        rows = rand_matrix(rng, qsqrt5, 3, 5)
+        # two combinations of the spanning rows, so the lift is not a unit vector
+        for _ in range(2):
+            coeffs = [qsqrt5.from_rational(rng.randint(-2, 2)) for _ in range(3)]
+            rows.append(
+                [sum((c * r[j] for c, r in zip(coeffs, rows)), qsqrt5.zero) for j in range(5)]
+            )
+        basis_idx, cols, projected = linalg.restrict_to_span(rows)
+        assert len(basis_idx) == linalg.rank(rows)
+        # the projection is an isomorphism on the span: span coordinates of a
+        # row determine it as a combination of the basis rows
+        square_t = [list(c) for c in zip(*(projected[i] for i in basis_idx))]
+        inv_t = linalg.invert(square_t)
+        for row, p in zip(rows, projected):
+            coeffs = linalg.mat_vec(inv_t, list(p))
+            lifted = tuple(
+                sum((c * rows[i][j] for c, i in zip(coeffs, basis_idx)), qsqrt5.zero)
+                for j in range(5)
+            )
+            assert lifted == tuple(row)
 
     def test_icosahedron_full_rank(self, icosahedron):
         rows = [list(v) for v in icosahedron.vertices]
