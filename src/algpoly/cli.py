@@ -46,16 +46,8 @@ def _build_parser():
     p.add_argument("input", nargs="?", help="input file (<name>.in)")
     p.add_argument("--goals", help="comma separated goal overrides")
     p.add_argument(
-        "--order", choices=("input", "sorted"), default="input",
-        help="generator insertion order",
-    )
-    p.add_argument(
         "--euclid-digits", type=_positive_int, default=12,
         help="significant digits of the Euclidean volume",
-    )
-    p.add_argument(
-        "--project-order",
-        help="comma separated coordinate permutation for project-and-lift",
     )
     p.add_argument("--bench", help="benchmark family, e.g. cyclic(8,14)")
     p.add_argument(
@@ -74,7 +66,7 @@ def main(argv=None):
         return 1
     try:
         if args.bench:
-            return bench(args.bench, args.bench_class, order=args.order)
+            return bench(args.bench, args.bench_class)
         if not args.input:
             print("error: an input file or --bench is required", file=sys.stderr)
             return 1
@@ -101,22 +93,12 @@ def run(args):
             goal = nfio.goal_from_token(token)
             if goal not in goals:
                 goals.append(goal)
-    model = nfio.build_model(spec)
-    project_order = None
-    if args.project_order:
-        tokens = args.project_order.split(",")
-        project_order = [int(t) if t.strip().isdecimal() else -1 for t in tokens]
-        if sorted(project_order) != list(range(model.dim)):
-            raise InputSyntaxError(
-                f"--project-order {args.project_order!r} is not a permutation "
-                f"of 0..{model.dim - 1}"
-            )
-    analyzed = analyze(model, order=args.order)
+    analyzed = analyze(nfio.build_model(spec))
     bundle = nfio.ResultBundle(
         analyzed=analyzed, goals=goals, euclid_digits=args.euclid_digits
     )
     if not analyzed.is_empty:
-        _compute_goals(bundle, goals, args, project_order)
+        _compute_goals(bundle, goals)
 
     out_path = path.with_suffix(".out")
     out_path.write_text(nfio.write_results(bundle))
@@ -133,7 +115,7 @@ def run(args):
     return 0
 
 
-def _compute_goals(bundle, goals, args, project_order):
+def _compute_goals(bundle, goals):
     # dependency order: hyperplanes (analyze) precede the face lattice and
     # automorphisms; the triangulation precedes the volume; lattice points
     # precede the integer hull
@@ -148,11 +130,9 @@ def _compute_goals(bundle, goals, args, project_order):
         if Goal.VOLUME in goals:
             bundle.volume = volume(analyzed, triangulation)
     if Goal.LATTICE_POINTS in goals or Goal.INTEGER_HULL in goals:
-        bundle.lattice_points = lattice_points(analyzed, project_order=project_order)
+        bundle.lattice_points = lattice_points(analyzed)
     if Goal.INTEGER_HULL in goals:
-        bundle.integer_hull = integer_hull(
-            analyzed, bundle.lattice_points, order=args.order
-        )
+        bundle.integer_hull = integer_hull(analyzed, bundle.lattice_points)
     for goal, kind in nfio.AUT_GOALS.items():
         if goal in goals:
             bundle.automorphisms[kind] = automorphisms(analyzed, kind)
@@ -161,8 +141,7 @@ def _compute_goals(bundle, goals, args, project_order):
 # ----------------------------------------------------------------------------
 # benchmark mode
 
-def bench(family_text, class_name, order="input", out=None):
-    out = out or sys.stdout
+def bench(family_text, class_name):
     family, params = _parse_family(family_text)
     classes = BENCH_CLASSES if class_name == "all" else (class_name,)
     for c in classes:
@@ -172,7 +151,7 @@ def bench(family_text, class_name, order="input", out=None):
     reference = None
     for cls in classes:
         t0 = time.perf_counter()
-        counts = bench_instance(family, params, cls, order=order)
+        counts = bench_instance(family, params, cls)
         elapsed = time.perf_counter() - t0
         rows.append((cls, elapsed, counts))
         if reference is None:
@@ -183,15 +162,14 @@ def bench(family_text, class_name, order="input", out=None):
                 f"!= {reference}",
                 file=sys.stderr,
             )
-    print(f"benchmark {family}({', '.join(str(p) for p in params)})", file=out)
-    print(f"{'class':<8}{'time[s]':>10}  {'ext rays':>8}  {'supp hyps':>9}  f-vector", file=out)
+    print(f"benchmark {family}({', '.join(str(p) for p in params)})")
+    print(f"{'class':<8}{'time[s]':>10}  {'ext rays':>8}  {'supp hyps':>9}  f-vector")
     for cls, elapsed, (ext, hyps, fvec) in rows:
         fstr = " ".join(str(x) for x in fvec)
-        print(f"{cls:<8}{elapsed:>10.3f}  {ext:>8}  {hyps:>9}  {fstr}", file=out)
+        print(f"{cls:<8}{elapsed:>10.3f}  {ext:>8}  {hyps:>9}  {fstr}")
     print(
         "note: int and mpz coincide in this implementation "
-        "(native arbitrary-precision integers)",
-        file=out,
+        "(native arbitrary-precision integers)"
     )
     return 0
 
@@ -260,7 +238,7 @@ def scale_columns(vertices, field):
     ]
 
 
-def bench_instance(family, params, cls, order="input"):
+def bench_instance(family, params, cls):
     """(extreme ray count, facet count, f-vector) of one class run."""
     int_vertices, dim = bench_vertices(family, params)
     field = bench_field(cls)
@@ -269,7 +247,7 @@ def bench_instance(family, params, cls, order="input"):
     ]
     if cls in ("sc2", "sc8", "p12"):
         vertices = scale_columns(vertices, field)
-    analyzed = analyze(PolyhedronModel(field, dim, vertices=vertices), order=order)
+    analyzed = analyze(PolyhedronModel(field, dim, vertices=vertices))
     fvec = f_vector(analyzed)
     return (
         len(analyzed.vertices) + len(analyzed.rays),

@@ -7,12 +7,13 @@ form; that sum is the lattice normalized volume, an exact field element,
 and the Euclidean volume is its value divided by d factorial.
 
 Lattice points are enumerated by project-and-lift: the support hyperplane
-system is projected one coordinate at a time (last coordinate first) by
-Fourier-Motzkin elimination of the variable, and integer candidates are
-lifted back level by level inside exact bounds.  Every projected row carries
-the set of vertices it is tight on, so each elimination step keeps, without
-arithmetic, only the implicit equations and one row per facet of the
-projection; only those rows are formed and normalized.
+system is projected one coordinate at a time by Fourier-Motzkin
+elimination, the coordinates eliminated last-first, and integer candidates
+are lifted back level by level, first coordinate first, inside exact
+bounds.  Every projected row carries the set of vertices it is tight on, so
+each elimination step keeps, without arithmetic, only the implicit
+equations and one row per facet of the projection; only those rows are
+formed and normalized.
 """
 
 from __future__ import annotations
@@ -169,44 +170,41 @@ def _project_once(system, var, field, full):
     return out
 
 
-def _projected_systems(analyzed, perm):
+def _projected_systems(analyzed):
     """Level -> (row, tight) system of the polytope projected to its first
-    `level` coordinates after permuting them by `perm`."""
+    `level` coordinates."""
     field = analyzed.field
     d = analyzed.dim
     full = (1 << len(analyzed.vertices)) - 1
-    # hyperplane rows are (l, c) with l.x + c >= 0 for dehomogenized points;
-    # apply the coordinate permutation to the l part
+    # hyperplane rows are (l, c) with l.x + c >= 0 for dehomogenized points
     constraints = list(zip(analyzed.support_hyperplanes, analyzed.incidence))
     if analyzed.affine_dim < d:
         # pin lower-dimensional polytopes to their affine hull
         for eq in linalg.null_space(analyzed.generator_rows()):
             constraints.append((eq, full))
             constraints.append((tuple(-x for x in eq), full))
-    systems = {d: [(tuple(h[p] for p in perm) + (h[-1],), t) for h, t in constraints]}
+    systems = {d: constraints}
     for level in range(d, 1, -1):
         systems[level - 1] = _project_once(systems[level], level - 1, field, full)
     return systems
 
 
-def lattice_points(analyzed, project_order=None):
+def lattice_points(analyzed):
     """All integer points of a polytope, by project-and-lift.
 
-    `project_order` optionally permutes the coordinates before projection;
-    the default eliminates coordinates in reverse index order.  Each row of
-    the projected systems carries the set of vertices it is tight on, and
-    each elimination step keeps only the implicit equations and one row per
-    facet of the projection, chosen from those sets without arithmetic.
+    Coordinates are eliminated last-first, so the system at level k bounds
+    the first k coordinates, and points are lifted back first coordinate
+    first.  Each row of the projected systems carries the set of vertices it
+    is tight on, and each elimination step keeps only the implicit equations
+    and one row per facet of the projection, chosen from those sets without
+    arithmetic.
     """
     if not analyzed.is_polytope:
         raise NotAPolytope("lattice point enumeration requires a polytope")
     d = analyzed.dim
     if d == 0:
         return LatticePointSet(points=[(1,)])
-    perm = list(project_order) if project_order is not None else list(range(d))
-    if sorted(perm) != list(range(d)):
-        raise ValueError(f"project order {perm!r} is not a permutation of 0..{d-1}")
-    systems = _projected_systems(analyzed, perm)
+    systems = _projected_systems(analyzed)
 
     points = []
     prefix = []
@@ -247,18 +245,15 @@ def lattice_points(analyzed, project_order=None):
 
     lift(1)
 
-    inv_perm = [0] * d
-    for i, p in enumerate(perm):
-        inv_perm[p] = i
-    out = sorted(tuple(pt[inv_perm[k]] for k in range(d)) + (1,) for pt in points)
+    out = sorted(pt + (1,) for pt in points)
     return LatticePointSet(points=out)
 
 
-def integer_hull(analyzed, points, order="input"):
+def integer_hull(analyzed, points):
     """Convex hull of `points`, the polytope's `LatticePointSet`, analyzed."""
     field = analyzed.field
     vertices = [
         tuple(field.from_rational(c) for c in p[:-1]) for p in points.points
     ]
     model = PolyhedronModel(field, analyzed.dim, vertices=vertices)
-    return analyze(model, order=order)
+    return analyze(model)

@@ -268,15 +268,14 @@ class DualizationResult:
         return self.span_rank - self.dual_rank
 
 
-def dualize(cone, order="input"):
+def dualize(cone):
     """Extreme rays, support hyperplanes, and incidence of a cone.
 
     With `generators` input this is a convex hull computation; with
     `constraints` input the same engine runs on the constraint rows and the
-    roles of the two output families swap (vertex enumeration).
+    roles of the two output families swap (vertex enumeration).  The run
+    starts from the span basis and inserts the other rows in input order.
     """
-    if order not in ("input", "sorted"):
-        raise ValueError(f"unknown insertion order {order!r}")
     field = cone.field
     rows = cone.generators if cone.generators is not None else cone.constraints
     normalized = []
@@ -296,22 +295,8 @@ def dualize(cone, order="input"):
     state = initial_dual(projected, basis_idx, field)
 
     chosen = set(basis_idx)
-    rest = [i for i in range(len(projected)) if i not in chosen]
-    if order == "sorted":
-        while rest:
-            best = None
-            best_key = None
-            for i in rest:
-                hits = sum(
-                    1 for s in state.sigmas if _dot(s, projected[i]).sign() == 0
-                )
-                key = (-hits, i)
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-            fm_step(state, best)
-            rest.remove(best)
-    else:
-        for i in rest:
+    for i in range(len(projected)):
+        if i not in chosen:
             fm_step(state, i)
 
     sigmas = state.sigmas

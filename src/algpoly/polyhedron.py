@@ -131,7 +131,7 @@ def _empty_analysis(model):
     )
 
 
-def analyze(model, order="input"):
+def analyze(model):
     """Vertices, recession rays, support hyperplanes, and dimensions."""
     if model.has_vrep and not model.vertices:
         if not model.rays:
@@ -147,7 +147,7 @@ def analyze(model, order="input"):
         return _empty_analysis(model)
 
     cone = homogenize(model)
-    result = dualize(cone, order=order)
+    result = dualize(cone)
 
     if model.has_vrep:
         gen_rows = result.generators
@@ -176,7 +176,7 @@ def analyze(model, order="input"):
             vmodel = PolyhedronModel(
                 model.field, model.dim, vertices=points, rays=directions
             )
-            redone = analyze(vmodel, order=order)
+            redone = analyze(vmodel)
             redone.model = model
             return redone
         # full-dimensional primal cone: extreme constraint rows are the facets
@@ -207,8 +207,11 @@ def analyze(model, order="input"):
         # are normalized with positive last component, and for constraint
         # input the dehomogenizing halfspace is part of the system
 
-    feasible = bool(vertices) if lineality == 0 else _lineality_feasible(
-        model, gen_rows
+    # with lineality present the dehomogenizing constraint keeps every
+    # lineality vector at last coordinate 0, so feasibility is still
+    # equivalent to some computed ray having a positive last coordinate
+    feasible = bool(vertices) if lineality == 0 else any(
+        row[-1].sign() > 0 for row in gen_rows
     )
     if not feasible:
         return _empty_analysis(model)
@@ -248,10 +251,3 @@ def analyze(model, order="input"):
         lineality_dim=0,
         cone_rank=cone_rank,
     )
-
-
-def _lineality_feasible(model, gen_rows):
-    # with lineality present the dehomogenizing constraint keeps every
-    # lineality vector at last coordinate 0, so feasibility is still
-    # equivalent to some computed ray having a positive last coordinate
-    return any(row[-1].sign() > 0 for row in gen_rows)

@@ -7,6 +7,7 @@ import pytest
 
 from algpoly import cli, discrete
 from algpoly.cli import bench_instance, bench_vertices, main
+from algpoly.io import Goal
 
 from conftest import INPUTS, REPO
 from oracles import gale_facet_count, gale_facets
@@ -96,16 +97,31 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (workdir / "cube.out").exists()
 
-    @pytest.mark.parametrize("value", ["x", "0,0,1", "0,1"])
-    def test_project_order_must_be_permutation(self, workdir, capsys, value):
-        path = workdir / "cube.in"
-        args = [str(path), "--goals", "LatticePoints", "--project-order", value]
-        assert run_cli(args) == 1
-        assert "input error:" in capsys.readouterr().err
-        assert not (workdir / "cube.out").exists()
-
     def test_workers_flag_rejected(self, workdir):
         assert run_cli([str(workdir / "cube.in"), "--workers", "2"]) == 1
+        assert not (workdir / "cube.out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, in_subprocess",
+        [("--order", "sorted", False), ("--project-order", "2,0,1", True)],
+    )
+    def test_ordering_flags_rejected(self, workdir, capsys, flag, value, in_subprocess):
+        # FM inserts generators in input order and project-and-lift
+        # eliminates the last coordinate first; neither order is a flag
+        args = [str(workdir / "cube.in"), "--goals", "LatticePoints", flag, value]
+        if in_subprocess:
+            proc = subprocess.run(
+                [sys.executable, "-m", "algpoly.cli", *args],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            )
+            rc, err = proc.returncode, proc.stderr
+        else:
+            rc, err = run_cli(args), capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert flag in err
+        assert "Traceback" not in err
         assert not (workdir / "cube.out").exists()
 
     def test_euclid_digits_flag(self, workdir):
@@ -114,19 +130,6 @@ class TestRun:
         out = (workdir / "icosahedron.out").read_text()
         assert "volume (Euclidean) = 2.18169" in out
         assert "2.18169499062" not in out
-
-    def test_project_order_flag(self, workdir):
-        path = workdir / "icosahedron.in"
-        assert run_cli([str(path), "--goals", "LatticePoints", "--project-order", "2,0,1"]) == 0
-        out = (workdir / "icosahedron.out").read_text()
-        assert "1 lattice points in polytope:\n0 0 0 1" in out
-
-    def test_sorted_order_flag(self, workdir):
-        path = workdir / "cube.in"
-        assert run_cli([str(path), "--order", "sorted"]) == 0
-        out = (workdir / "cube.out").read_text()
-        assert "8 vertices of polyhedron" in out
-        assert "6 support hyperplanes of polyhedron (homogenized)" in out
 
     def test_determinism_single_worker(self, workdir):
         path = workdir / "icosahedron.in"
@@ -145,6 +148,35 @@ class TestRun:
             [exe, str(workdir / "cube.in")], capture_output=True, text=True
         )
         assert proc.returncode == 0
+
+
+_SMALL_INPUTS = {
+    "halfline": "amb_space 1\ncone 1\n1\n",
+    "segment": "amb_space 2\nvertices 2\n0 0 1\n2 1 1\n",
+    "point": "amb_space 2\nvertices 1\n1 2 1\n",
+    "cone_with_line": "amb_space 2\ncone 3\n1 0\n-1 0\n0 1\n",
+    "triangle_and_ray": "amb_space 2\nvertices 3\n0 0 1\n1 0 1\n0 1 1\ncone 1\n1 1\n",
+}
+
+
+class TestGoalSample:
+    """Every goal alone ends with an exit code on every sample input."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in INPUTS.glob("*.in")) + sorted(_SMALL_INPUTS)
+    )
+    def test_each_goal_exits_cleanly(self, tmp_path, name):
+        path = tmp_path / f"{name}.in"
+        if name in _SMALL_INPUTS:
+            path.write_text(_SMALL_INPUTS[name])
+        else:
+            shutil.copy(INPUTS / f"{name}.in", path)
+        for goal in Goal:
+            path.with_suffix(".out").unlink(missing_ok=True)
+            rc = run_cli([str(path), "--goals", goal.value])
+            assert rc in (0, 1, 2), goal
+            # an output file is written exactly when the run succeeds
+            assert path.with_suffix(".out").exists() == (rc == 0), goal
 
 
 class TestGolden:

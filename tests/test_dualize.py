@@ -189,15 +189,6 @@ class TestDualize:
                 reference = forms
             assert forms == reference
 
-    def test_sorted_order_same_set(self, qsqrt5):
-        rng = random.Random(27)
-        gens = random_cone(rng, qsqrt5, 4, 9, True)
-        res_in = dualize(ConeInput(qsqrt5, 4, generators=gens), order="input")
-        res_sort = dualize(ConeInput(qsqrt5, 4, generators=gens), order="sorted")
-        assert hyperplane_set(res_in.support_hyperplanes, qsqrt5) == hyperplane_set(
-            res_sort.support_hyperplanes, qsqrt5
-        )
-
     @pytest.mark.parametrize(
         "field_name, rounds, max_dim", [("qq", 12, 5), ("qsqrt5", 10, 4), ("p12", 3, 4)]
     )
