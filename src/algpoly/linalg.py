@@ -1,17 +1,22 @@
 """Dense exact linear algebra over a number field.
 
-Matrices are plain lists of rows of NFElem.  Elimination uses exact field
-division with first-nonzero pivoting.  `restrict_to_span` is the one span
-computation: a greedy basis of the rows, the columns on which that basis is
-independent, and every row restricted to those columns.  Only `rank` and
-`det` take a fraction-free (Bareiss) route over a degree-1 field, on cleared
-integer rows, which avoids per-step gcd work.
+Matrices are plain lists of rows of NFElem.  Elimination is fraction-free
+over Z[a] (`_reduce`): rows are cleared to integer coefficient vectors and
+eliminated by cross-multiplication with integer content removal, so no
+pivot is inverted, zero tests are symbolic, and only each chosen pivot's
+sign is taken.  `det` divides once at the end, by the product of the
+multipliers; `invert` and `null_space` divide each pivot row once, by back
+substitution.  A matrix whose entries are all rational, in any field, is
+eliminated as flat integer rows, with Bareiss's exact division in `rank`
+and `det`.  `restrict_to_span` is the one span computation: a greedy basis
+of the rows, the columns on which that basis is independent, and every row
+restricted to those columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import ShapeMismatch, SingularMatrix
 
@@ -26,14 +31,24 @@ def _check_rect(rows):
     return w
 
 
-def _int_rows(rows):
-    """Clear denominators row by row; returns (integer rows, row factors)."""
+def _rational(rows):
+    return all(not any(x.coeffs[1:]) for row in rows for x in row)
+
+
+def _int_rows(rows, n):
+    """Clear each row to one flat integer list of `n` coefficients per entry.
+
+    Returns the rows and the integer factor each row was multiplied by.
+    """
     out, factors = [], []
     for row in rows:
         big = 1
         for x in row:
             big = lcm(big, x.den)
-        out.append([x.coeffs[0] * (big // x.den) for x in row])
+        if n == 1:
+            out.append([x.coeffs[0] * (big // x.den) for x in row])
+        else:
+            out.append([c * (big // x.den) for x in row for c in x.coeffs])
         factors.append(big)
     return out, factors
 
@@ -70,107 +85,169 @@ def _bareiss(irows):
     return rank, sign * prev
 
 
-def rank(rows):
-    """Rank by exact Gaussian elimination."""
-    _check_rect(rows)
-    if not rows:
-        return 0
-    field = rows[0][0].field
-    if field.degree == 1:
-        irows, _ = _int_rows(rows)
-        return _bareiss(irows)[0]
-    m = [list(r) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col].sign() != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv_p = m[r][col].inv()
-        for i in range(r + 1, n_rows):
-            if m[i][col].sign() != 0:
-                f = m[i][col] * inv_p
-                m[i] = [m[i][j] - f * m[r][j] for j in range(n_cols)]
-        r += 1
-        if r == n_rows:
+def _combine(field, n, p, u, c, v):
+    """Row p*u - c*v as (integer row, big, g), the row scaled by big/g.
+
+    For n > 1 the products are sparse convolutions, reduced by the field's
+    power rows over their common denominator `big`; `g` is the integer
+    content taken out.
+    """
+    big = 1
+    if n == 1:
+        p, c = p[0], c[0]
+        row = [p * x - c * y for x, y in zip(u, v)]
+    else:
+        powers, big = field._pow_rows
+        pt = [(i, a) for i, a in enumerate(p) if a]
+        ct = [(i, -a) for i, a in enumerate(c) if a]
+        row = []
+        for j in range(0, len(u), n):
+            conv = [0] * (2 * n - 1)
+            for terms, w in ((pt, u), (ct, v)):
+                for k in range(j, j + n):
+                    b = w[k]
+                    if b:
+                        for i, a in terms:
+                            conv[i + k - j] += a * b
+            low = conv[:n] if big == 1 else [x * big for x in conv[:n]]
+            for k in range(n, 2 * n - 1):
+                if conv[k]:
+                    t = conv[k]
+                    low = [x + t * r for x, r in zip(low, powers[k - n])]
+            row += low
+    g = gcd(*row)
+    if g > 1:
+        row = [a // g for a in row]
+    return row, big, g
+
+
+def _reduce(field, n, irows, leading=False):
+    """Fraction-free row echelon form over Z[a] of flat integer rows, in order.
+
+    Each row is cleared against the pivot rows chosen so far by
+    cross-multiplication p*r - c*r_p, and becomes a pivot row if a nonzero
+    entry remains: its first rational one, else its first one, and always
+    its first one if `leading`.  Zero tests are symbolic.  Each pivot's sign
+    is taken once, so an entry that vanishes at the embedding of a reducible
+    defining polynomial raises `VanishingElement` instead of becoming a
+    pivot.
+
+    Returns the chosen row indices, the pivot rows, their pivot offsets, how
+    often each pivot multiplied a later row, and the rational factor by which
+    the content removal and denominator clearing scaled the rows.
+    """
+    width = len(irows[0]) // n
+    chosen, red, offs, uses = [], [], [], []
+    num = den = 1
+    for idx, work in enumerate(irows):
+        if len(chosen) == width:
             break
-    return r
+        for k, (r, o) in enumerate(zip(red, offs)):
+            c = work[o:o + n]
+            if any(c):
+                work, big, g = _combine(field, n, r[o:o + n], work, c, r)
+                uses[k] += 1
+                num, den = num * g, den * big
+        nonzero = [j for j in range(0, len(work), n) if any(work[j:j + n])]
+        if not nonzero:
+            continue
+        o = nonzero[0]
+        if not leading and n > 1:  # a rational pivot multiplies rows by an integer
+            o = next((j for j in nonzero if not any(work[j + 1:j + n])), o)
+        if any(work[o + 1:o + n]):
+            field._make(tuple(work[o:o + n]), 1).sign()
+        chosen.append(idx)
+        red.append(work)
+        offs.append(o)
+        uses.append(0)
+    return chosen, red, offs, uses, Fraction(num, den)
+
+
+def _back_substitute(red, offs, at, entry):
+    """The entries at offsets `at` of the reduced form of `_reduce`'s rows.
+
+    `entry(row, offset)` reads one entry exactly.  Rows come back in pivot
+    order, and each is divided once, by its pivot.
+    """
+    done = {}
+    for o, r in reversed(list(zip(offs, red))):
+        vals = [entry(r, c) for c in at]
+        for o2, q in done.items():
+            x = entry(r, o2)
+            if x:
+                vals = [v - x * y for v, y in zip(vals, q)]
+        inverse = 1 / entry(r, o)
+        done[o] = [v * inverse for v in vals]
+    return [done[o] for o in sorted(done)]
+
+
+def _prepare(rows):
+    """The field, the coefficient count per entry, and the cleared rows."""
+    field = rows[0][0].field
+    n = 1 if field.degree == 1 or _rational(rows) else field.degree
+    return field, n, *_int_rows(rows, n)
+
+
+def _rref(field, n, red, offs, cols):
+    """Columns `cols` of the reduced row echelon form, as field elements."""
+    if n > 1:
+        return _back_substitute(
+            red, offs, [c * n for c in cols], lambda r, o: field._make(tuple(r[o:o + n]), 1)
+        )
+    rows = _back_substitute(red, offs, cols, lambda r, o: Fraction(r[o]))
+    return [[field.from_rational(v) for v in row] for row in rows]
+
+
+def rank(rows):
+    """Rank by fraction-free elimination."""
+    w = _check_rect(rows)
+    if not rows or not w:
+        return 0
+    field, n, irows, _ = _prepare(rows)
+    if n == 1:
+        return _bareiss(irows)[0]
+    return len(_reduce(field, n, irows)[0])
 
 
 def det(rows):
-    """Determinant of a square matrix."""
+    """Determinant of a square matrix, with one division at the end."""
     w = _check_rect(rows)
     if len(rows) != w:
         raise ShapeMismatch(f"determinant of a {len(rows)}x{w} matrix")
-    field = rows[0][0].field
-    if field.degree == 1:
-        irows, factors = _int_rows(rows)
+    field, n, irows, factors = _prepare(rows)
+    if n == 1:
         r, d = _bareiss(irows)
-        if r < w:
-            return field.zero
-        value = Fraction(d)
-        for f in factors:
-            value /= f
-        return field.from_rational(value)
-    m = [list(r) for r in rows]
-    n = w
-    value = field.one
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col].sign() != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        value = value * pivot
-        inv_p = pivot.inv()
-        for i in range(col + 1, n):
-            if m[i][col].sign() != 0:
-                f = m[i][col] * inv_p
-                m[i] = [m[i][j] - f * m[col][j] for j in range(n)]
-    return -value if sign < 0 else value
+        return field.from_rational(Fraction(d, prod(factors))) if r == w else field.zero
+    chosen, red, offs, uses, ratio = _reduce(field, n, irows)
+    if len(chosen) < w:
+        return field.zero
+    cols = [o // n for o in offs]
+    swaps = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    top = field.from_rational((-1) ** swaps * ratio / prod(factors))
+    bottom = field.one
+    for r, o, u in zip(red, offs, uses):
+        p = field._make(tuple(r[o:o + n]), 1)
+        top = top * p
+        if u:
+            bottom = bottom * p ** u
+    return top / bottom
 
 
 def invert(rows):
-    """Matrix inverse by Gauss-Jordan elimination."""
+    """Matrix inverse by fraction-free elimination and back substitution."""
     w = _check_rect(rows)
-    n = len(rows)
-    if n != w:
-        raise ShapeMismatch(f"inverse of a {n}x{w} matrix")
-    if n == 0:
+    if len(rows) != w:
+        raise ShapeMismatch(f"inverse of a {len(rows)}x{w} matrix")
+    if not rows:
         return []
-    field = rows[0][0].field
-    m = [
-        list(r) + [field.one if i == j else field.zero for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col].sign() != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv_p = m[col][col].inv()
-        m[col] = [x * inv_p for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col].sign() != 0:
-                f = m[i][col]
-                m[i] = [m[i][j] - f * m[col][j] for j in range(2 * n)]
-    return [row[n:] for row in m]
+    one, zero = rows[0][0].field.one, rows[0][0].field.zero
+    field, n, irows, _ = _prepare(
+        [list(r) + [one if i == j else zero for j in range(w)] for i, r in enumerate(rows)]
+    )
+    chosen, red, offs, _, _ = _reduce(field, n, irows, leading=True)
+    if len(chosen) < w or max(offs) >= w * n:
+        raise SingularMatrix("matrix is singular")
+    return _rref(field, n, red, offs, range(w, 2 * w))
 
 
 def _dot(u, v):
@@ -207,43 +284,21 @@ def mat_mul(a, b):
 
 
 def null_space(rows):
-    """Basis of the right kernel {x : rows . x = 0}."""
+    """Basis of the right kernel {x : rows . x = 0}, read off the reduced echelon form."""
     w = _check_rect(rows)
     if not rows:
         return []
-    field = rows[0][0].field
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(w):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col].sign() != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv_p = m[r][col].inv()
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col].sign() != 0:
-                f = m[i][col]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(w)]
-        pivots.append((r, col))
-        r += 1
-        if r == n_rows:
-            break
-    pivot_cols = {c for _, c in pivots}
+    field, n, irows, _ = _prepare(rows)
+    _, red, offs, _, _ = _reduce(field, n, irows, leading=True)
+    pivot_cols = sorted(o // n for o in offs)
+    free = [j for j in range(w) if j not in pivot_cols]
+    reduced = _rref(field, n, red, offs, free)
     basis = []
-    for free in range(w):
-        if free in pivot_cols:
-            continue
+    for t, j in enumerate(free):
         vec = [field.zero] * w
-        vec[free] = field.one
-        for row_i, col in pivots:
-            vec[col] = -m[row_i][free]
+        vec[j] = field.one
+        for col, row in zip(pivot_cols, reduced):
+            vec[col] = -row[t]
         basis.append(tuple(vec))
     return basis
 
@@ -254,30 +309,10 @@ def independent_rows(rows):
     The scan ends once the subset is as long as the rows are wide, since no
     further row can be independent.
     """
-    width = len(rows[0]) if rows else 0
-    chosen = []
-    reduced = []
-    pivots = []
-    for idx, row in enumerate(rows):
-        if len(chosen) == width:
-            break
-        work = list(row)
-        for red, pc in zip(reduced, pivots):
-            if work[pc].sign() != 0:
-                f = work[pc]
-                work = [work[j] - f * red[j] for j in range(len(work))]
-        pivot_col = None
-        for j, x in enumerate(work):
-            if x.sign() != 0:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            continue
-        work = [x * work[pivot_col].inv() for x in work]
-        reduced.append(work)
-        pivots.append(pivot_col)
-        chosen.append(idx)
-    return chosen
+    if not rows or not rows[0]:
+        return []
+    field, n, irows, _ = _prepare(rows)
+    return _reduce(field, n, irows)[0]
 
 
 def restrict_to_span(rows):

@@ -10,7 +10,8 @@ Sign decisions for nonzero elements are numeric: the element polynomial is
 evaluated on an enclosing interval of the generator with outward-rounded
 dyadic interval arithmetic.  While the value interval straddles zero, the
 working precision of the evaluation is doubled first, then the generator
-enclosure is replaced by one with twice the number of correct digits.
+enclosure, if it is wider than the evaluation grid, is replaced by one with
+twice the number of correct digits.
 Once that refinement passes `_ZERO_TEST_DIGITS`, the element polynomial is
 tested for a common root with a reducible defining polynomial inside the
 enclosure: such an element is nonzero in Q[a] but zero at the embedding, so
@@ -32,6 +33,7 @@ from .errors import (
     VanishingElement,
     ZeroPolynomial,
 )
+from .linalg import _back_substitute, _reduce
 
 _INITIAL_BITS = 64
 _INITIAL_DIGITS = 20  # decimal digits carried by the initial generator enclosure
@@ -51,30 +53,8 @@ def _deg(p):
     return len(p) - 1
 
 
-def _padd(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
 def _pscale(p, c):
     return _trim([c * x for x in p])
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
 
 
 def _pdivmod(p, q):
@@ -102,21 +82,6 @@ def _pgcd(p, q):
     return p
 
 
-def _pxgcd_mod(f, mu):
-    """Return (g, s) with s*f = g (mod mu) and g = gcd(f, mu), monic."""
-    r0, r1 = list(mu), list(f)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pscale(_pmul(q, s1), Fraction(-1)))
-    if r0:
-        c = 1 / r0[-1]
-        r0 = _pscale(r0, c)
-        s0 = _pscale(s0, c)
-    return r0, s0
-
-
 def _pderiv(p):
     return _trim([i * c for i, c in enumerate(p)][1:])
 
@@ -125,6 +90,15 @@ def _peval(p, x):
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def _heval(coeffs, num, den):
+    """den**deg * p(num/den) for an integer polynomial p, by homogeneous Horner."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * power
+        power *= den
     return acc
 
 
@@ -290,6 +264,7 @@ class NumberField:
         if isinstance(interval, (tuple, list)):
             interval = EmbeddingInterval(*interval)
         self.min_poly = tuple(coeffs)
+        self._int_poly = self._rationalize(coeffs, len(coeffs))[0][0]
         self.degree = _deg(coeffs)
         self.gen_name = gen_name
         self.embedding = interval
@@ -324,25 +299,25 @@ class NumberField:
     # -- construction helpers
 
     def _reduction_rows(self):
-        """Exact representations of a**k for k = deg .. 2*deg-2."""
+        """a**k for k = deg .. 2*deg-2 as integer rows over one denominator."""
         n = self.degree
         rows = []
         cur = [-c for c in self.min_poly[:n]]  # a**n, the polynomial being monic
         for _ in range(n - 1):
-            rows.append(self._rationalize(cur))
+            rows.append(cur)
             cur = [Fraction(0)] + cur
             top = cur.pop()
             if top:
                 for i in range(n):
                     cur[i] += top * -self.min_poly[i]
-        return tuple(rows)
+        return self._rationalize([c for row in rows for c in row], n)
 
     @staticmethod
-    def _rationalize(fracs):
-        den = 1
-        for f in fracs:
-            den = lcm(den, f.denominator)
-        return tuple(int(f * den) for f in fracs), den
+    def _rationalize(fracs, width):
+        """Integer rows of `width` and their common denominator."""
+        den = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * den) for f in fracs]
+        return [ints[i:i + width] for i in range(0, len(ints), width)], den
 
     def _make(self, coeffs, den):
         if den < 0:
@@ -357,6 +332,22 @@ class NumberField:
             coeffs = tuple(c // g for c in coeffs)
             den //= g
         return NFElem(self, coeffs, den)
+
+    def _mul_matrix(self, coeffs):
+        """Multiplication matrix of an integer coefficient vector x.
+
+        Returns its rows and their denominator; column j is x*a**j.
+        """
+        poly = self._int_poly
+        cols = [(list(coeffs), 1)]
+        for _ in range(self.degree - 1):
+            c, d = cols[-1]
+            top, c = c[-1], [0] + c[:-1]
+            if top:  # a**deg = -(poly[0] + ... + poly[deg-1]*a**(deg-1)) / poly[deg]
+                c, d = [poly[-1] * x - top * q for x, q in zip(c, poly)], d * poly[-1]
+            cols.append((c, d))
+        big = lcm(*(d for _, d in cols))
+        return [[c[i] * (big // d) for c, d in cols] for i in range(self.degree)], big
 
     # -- element factories
 
@@ -396,24 +387,34 @@ class NumberField:
         return self._digits
 
     def refine_generator(self, digits):
-        """Shrink the enclosure until its width is at most 10**-digits."""
+        """Shrink the enclosure until its width is at most 10**-digits.
+
+        The endpoints are kept as integers over one common denominator, and
+        the cleared defining polynomial is evaluated at each midpoint by
+        homogeneous Horner, so the bisection never forms a Fraction.
+        """
         if self.degree == 1:
             self._digits = max(self._digits, digits)
             return
-        target = Fraction(1, 10 ** digits)
+        poly = self._int_poly
+        scale = 10 ** digits
         lo, hi = self._lo, self._hi
-        sign_lo = 1 if _peval(self.min_poly, lo) > 0 else -1
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            v = _peval(self.min_poly, mid)
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        positive_lo = _heval(poly, a, den) > 0
+        while (b - a) * scale > den:
+            mid = a + b
+            a, b, den = 2 * a, 2 * b, 2 * den
+            v = _heval(poly, mid, den)
             if v == 0:  # cannot happen for an irreducible polynomial of degree > 1
-                lo = hi = mid
+                a = b = mid
                 break
-            if (1 if v > 0 else -1) == sign_lo:
-                lo = mid
+            if (v > 0) == positive_lo:
+                a = mid
             else:
-                hi = mid
-        self._lo, self._hi = lo, hi
+                b = mid
+        self._lo, self._hi = Fraction(a, den), Fraction(b, den)
         self._digits = max(self._digits, digits)
 
     def _gen_scaled(self, bits):
@@ -522,36 +523,44 @@ class NFElem:
         den = self.den * o.den
         if not any(conv[n:]):
             return f._make(tuple(conv[:n]), den)
-        big = 1
-        for k in range(n, 2 * n - 1):
-            if conv[k]:
-                big = lcm(big, f._pow_rows[k - n][1])
+        rows, big = f._pow_rows
         acc = [c * big for c in conv[:n]]
         for k in range(n, 2 * n - 1):
             if conv[k]:
-                row, rden = f._pow_rows[k - n]
-                m = conv[k] * (big // rden)
-                for i in range(n):
-                    acc[i] += m * row[i]
+                m = conv[k]
+                for i, r in enumerate(rows[k - n]):
+                    acc[i] += m * r
         return f._make(tuple(acc), den * big)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse y, solving x*y = 1 on integers.
+
+        Column j of the multiplication matrix of x is the coefficient vector
+        of x*a**j.  Fraction-free elimination of its integer rows, with the
+        coefficient vector of 1 appended, and back substitution yield y; a
+        singular matrix means that x is a zero divisor of a reducible
+        defining polynomial.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         r = self.is_rational()
         f = self.field
         if r is not None:
             return f.from_rational(1 / r)
-        poly = [Fraction(c, self.den) for c in self.coeffs]
-        g, s = _pxgcd_mod(_trim(poly), list(f.min_poly))
-        if _deg(g) > 0:
+        n = f.degree
+        rows, big = f._mul_matrix(self.coeffs)
+        rows[0].append(big)
+        for row in rows[1:]:
+            row.append(0)
+        chosen, red, offs, _, _ = _reduce(None, 1, rows)
+        if len(chosen) < n or max(offs) >= n:
             raise DivisionByZero(
                 "element is a zero divisor (defining polynomial is reducible)"
             )
-        return f.element(_pscale(s, 1 / g[0]))
+        y = _back_substitute(red, offs, [n], lambda row, o: Fraction(row[o]))
+        return f.element([self.den * v for v, in y])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -617,7 +626,8 @@ class NFElem:
             if rhi < 0:
                 self._sign = -1
                 return -1
-            f.refine_generator(2 * max(f._digits, 1))  # then double generator digits
+            if 10 ** f._digits < 1 << bits:  # the enclosure, not the grid, limits
+                f.refine_generator(2 * max(f._digits, 1))  # then double generator digits
             if not tested and f._digits >= _ZERO_TEST_DIGITS:
                 tested = True
                 self._refuse_if_vanishing()

@@ -13,8 +13,97 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
-from algpoly import linalg
 from algpoly.dualize import normalize
+from algpoly.errors import DivisionByZero
+from algpoly.numfield import _pdivmod, _trim
+
+
+# ----------------------------------------------------------------------------
+# field-division linear algebra with extended-Euclid inverses, kept apart
+# from the fraction-free kernel in algpoly.linalg that it checks
+
+def euclid_inv(x):
+    """Inverse of a field element by the extended Euclidean algorithm."""
+    if x.is_zero():
+        raise DivisionByZero("inverse of zero")
+    f = x.field
+    r0 = list(f.min_poly)
+    r1 = _trim([Fraction(c, x.den) for c in x.coeffs])
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        qs = [Fraction(0)] * max(len(q) + len(s1) - 1, 0)
+        for i, a in enumerate(q):
+            for j, b in enumerate(s1):
+                qs[i + j] += a * b
+        n = max(len(s0), len(qs))
+        s_next = [(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+                  for i in range(n)]
+        r0, r1, s0, s1 = r1, r, s1, _trim(s_next)
+    if len(r0) > 1:
+        raise DivisionByZero("element is a zero divisor (defining polynomial is reducible)")
+    return f.element([c / r0[0] for c in s0])
+
+
+def _eliminate(rows, jordan):
+    """Row echelon form by field division; returns (rows, [(row, col)], swaps)."""
+    m = [list(r) for r in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    pivots, swaps = [], 0
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if m[i][col].sign() != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            swaps += 1
+        inv_p = euclid_inv(m[r][col])
+        if jordan:
+            m[r] = [x * inv_p for x in m[r]]
+        for i in range(0 if jordan else r + 1, n_rows):
+            if i != r and m[i][col].sign() != 0:
+                f = m[i][col] if jordan else m[i][col] * inv_p
+                m[i] = [m[i][j] - f * m[r][j] for j in range(n_cols)]
+        pivots.append((r, col))
+    return m, pivots, swaps
+
+
+def rank(rows):
+    return len(_eliminate(rows, False)[1]) if rows else 0
+
+
+def det(rows):
+    field = rows[0][0].field
+    m, pivots, swaps = _eliminate(rows, False)
+    if len(pivots) < len(rows):
+        return field.zero
+    value = field.one
+    for i in range(len(rows)):
+        value = value * m[i][i]
+    return -value if swaps % 2 else value
+
+
+def null_space(rows):
+    """Basis of the right kernel, one vector per free column of the RREF."""
+    if not rows:
+        return []
+    field = rows[0][0].field
+    w = len(rows[0])
+    m, pivots, _ = _eliminate(rows, True)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(w):
+        if free in pivot_cols:
+            continue
+        vec = [field.zero] * w
+        vec[free] = field.one
+        for row_i, col in pivots:
+            vec[col] = -m[row_i][free]
+        basis.append(tuple(vec))
+    return basis
 
 
 # ----------------------------------------------------------------------------
@@ -32,9 +121,9 @@ def brute_force_dual(gens, field):
         return _maximal(found)
     for subset in combinations(range(len(dedup)), d - 1):
         rows = [list(dedup[i]) for i in subset]
-        if linalg.rank(rows) != d - 1:
+        if rank(rows) != d - 1:
             continue
-        kernel = linalg.null_space(rows)
+        kernel = null_space(rows)
         if len(kernel) != 1:
             continue
         kappa = kernel[0]
@@ -62,7 +151,7 @@ def brute_force_extreme(gens, field):
     extreme = []
     for i, g in enumerate(_dedup(gens, field)):
         tight = [list(f) for f in facets if _dot(f, g).sign() == 0]
-        if (linalg.rank(tight) if tight else 0) == d - 1:
+        if (rank(tight) if tight else 0) == d - 1:
             extreme.append(i)
     return extreme
 
@@ -132,7 +221,7 @@ def box_scan_lattice(analyzed, box_limit=10 ** 6):
     assert total <= box_limit, f"box of {total} points exceeds the scan limit"
     hyps = analyzed.support_hyperplanes
     # affine hull equations: forms vanishing on every generator row
-    equations = linalg.null_space([list(g) for g in analyzed.generator_rows()])
+    equations = null_space([list(g) for g in analyzed.generator_rows()])
     points = []
     for candidate in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
         if all(affine_value(e, candidate).is_zero() for e in equations) and all(
@@ -168,7 +257,7 @@ def face_dims_by_rank(analyzed):
             break
         faces |= more
     return {
-        mask: linalg.rank([list(g) for i, g in enumerate(gens) if mask >> i & 1]) - 1
+        mask: rank([list(g) for i, g in enumerate(gens) if mask >> i & 1]) - 1
         for mask in faces
     }
 
@@ -355,7 +444,7 @@ def placing_normalized_volume(analyzed):
     rows = [list(r) for r in analyzed.vertices]
     first = []
     for i in range(len(rows)):
-        if linalg.rank([rows[j] for j in first + [i]]) > len(first):
+        if rank([rows[j] for j in first + [i]]) > len(first):
             first.append(i)
     simplices = [tuple(first)]
     kernels = {}
@@ -371,7 +460,7 @@ def placing_normalized_volume(analyzed):
             if len(apexes) != 1:
                 continue  # interior face
             if face not in kernels:
-                (kappa,) = linalg.null_space([rows[j] for j in face])
+                (kappa,) = null_space([rows[j] for j in face])
                 if _dot(kappa, rows[apexes[0]]).sign() < 0:
                     kappa = [-x for x in kappa]
                 kernels[face] = kappa
@@ -379,7 +468,7 @@ def placing_normalized_volume(analyzed):
                 simplices.append(tuple(sorted(face + (i,))))
     total = field.zero
     for simplex in simplices:
-        value = linalg.det([rows[j] for j in simplex])
+        value = det([rows[j] for j in simplex])
         for j in simplex:
             value = value / rows[j][-1]
         total = total + abs(value)
@@ -439,7 +528,7 @@ def random_cone(rng, field, d, n, algebraic):
                     )
             row.append(field.from_rational(rng.randint(1, 3)))  # pointedness
             gens.append(tuple(row))
-        if linalg.rank([list(g) for g in gens]) == d:
+        if rank([list(g) for g in gens]) == d:
             return gens
 
 
@@ -464,5 +553,5 @@ def random_polytope(rng, field, d, n, algebraic, coord_range=4):
                         )
                     )
             pts.append(tuple(row))
-        if linalg.rank([list(p) + [field.one] for p in pts]) == d + 1:
+        if rank([list(p) + [field.one] for p in pts]) == d + 1:
             return pts

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from algpoly import linalg
-from algpoly.errors import ShapeMismatch, SingularMatrix
+import oracles
+from algpoly import EmbeddingInterval, field_create, linalg, rational_field
+from algpoly.errors import DivisionByZero, ShapeMismatch, SingularMatrix, VanishingElement
 
 
 def eye(field, n):
@@ -210,3 +212,119 @@ class TestRestrictToSpan:
             if r == w:
                 assert cols == list(range(w))
         assert deficient > 0 and full > 0
+
+
+# ----------------------------------------------------------------------------
+# the fraction-free kernel against the field-division reference in oracles
+
+_FIELDS = {
+    "qq": rational_field(),
+    "qsqrt5": field_create([-5, 0, 1], EmbeddingInterval(1, 3)),
+    "p12": field_create([-5, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1], EmbeddingInterval(1, 2)),
+    # 2a^2 - 3: the monic form a^2 - 3/2 reduces a^2 with a denominator
+    "half": field_create([-3, 0, 2], EmbeddingInterval(1, 2)),
+}
+
+
+@st.composite
+def _matrices(draw, sizes=st.integers(1, 4), square=False, full=False, algebraic=False):
+    """A field and a matrix of rank at most a drawn bound, rational or not."""
+    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    n_rows = draw(sizes)
+    n_cols = n_rows if square else draw(sizes)
+    rational = field.degree == 1 or not algebraic and draw(st.booleans())
+    terms = 1 if rational else min(field.degree, 3)
+
+    def entry():
+        return field.element([
+            Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+            for _ in range(terms)
+        ])
+
+    bound = min(n_rows, n_cols) if full else draw(st.integers(1, min(n_rows, n_cols)))
+    spanning = [[entry() for _ in range(n_cols)] for _ in range(bound)]
+    rows = [spanning[i] for i in range(bound)]
+    while len(rows) < n_rows:
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(bound)]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, spanning)), field.zero)
+                     for j in range(n_cols)])
+    order = draw(st.permutations(range(n_rows)))
+    return field, [rows[i] for i in order]
+
+
+def _greedy(rows):
+    chosen = []
+    for i, row in enumerate(rows):
+        if oracles.rank([rows[j] for j in chosen] + [row]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+class TestKernelAgainstReference:
+    @given(_matrices())
+    def test_rank_and_span(self, case):
+        _, rows = case
+        expected = _greedy(rows)
+        assert linalg.rank(rows) == oracles.rank(rows) == len(expected)
+        assert linalg.independent_rows(rows) == expected
+        basis_idx, cols, projected = linalg.restrict_to_span(rows)
+        assert basis_idx == expected
+        assert cols == _greedy([list(c) for c in zip(*(rows[i] for i in expected))])
+        assert projected == [tuple(row[c] for c in cols) for row in rows]
+
+    @given(_matrices())
+    def test_null_space(self, case):
+        _, rows = case
+        assert linalg.null_space(rows) == oracles.null_space(rows)
+
+    @given(_matrices(square=True))
+    def test_det_and_invert(self, case):
+        field, rows = case
+        value = linalg.det(rows)
+        assert value == oracles.det(rows)
+        if value.is_zero():
+            with pytest.raises(SingularMatrix):
+                linalg.invert(rows)
+            return
+        inverse = linalg.invert(rows)
+        eye_rows = [[oracles._dot(r, c) for c in zip(*inverse)] for r in rows]
+        assert eye_rows == eye(field, len(rows))
+
+    @settings(max_examples=12)
+    @given(_matrices(sizes=st.just(9), square=True, full=True, algebraic=True))
+    def test_hull_size(self, case):
+        field, rows = case
+        assert linalg.det(rows) == oracles.det(rows)
+        assert linalg.rank(rows) == oracles.rank(rows)
+
+    @given(st.sampled_from(sorted(_FIELDS)), st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+           st.integers(1, 6))
+    def test_inv(self, name, coeffs, den):
+        field = _FIELDS[name]
+        x = field.element(coeffs[:field.degree], den)
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inv()
+            return
+        assert x.inv() == oracles.euclid_inv(x)
+        assert x * x.inv() == field.one
+
+
+class TestReducibleField:
+    # (a - 3)(a^2 - 2) embedded at sqrt(2): a^2 - 2 is nonzero in Q[a] but
+    # zero at the embedding, and a - 3 is a zero divisor
+    ring = field_create([6, -2, -3, 1], EmbeddingInterval(1, 2))
+
+    def test_vanishing_pivot_refused(self):
+        a, one, zero = self.ring.gen(), self.ring.one, self.ring.zero
+        rows = [[a * a - 2, a], [one, zero]]
+        for fn in (linalg.rank, linalg.det, linalg.independent_rows):
+            with pytest.raises(VanishingElement):
+                fn(rows)
+
+    def test_zero_divisor_pivot(self):
+        a = self.ring.gen()
+        with pytest.raises(DivisionByZero):
+            linalg.det([[a - 3, a], [a, a + 1]])
+        with pytest.raises(DivisionByZero):
+            (a - 3).inv()
