@@ -58,6 +58,9 @@ def _build_parser():
 
 
 def main(argv=None):
+    # exact coordinates have no size limit, so neither has their decimal text
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,11 +7,6 @@ on.  A new generator splits the sigmas by the exact sign of sigma(x); each
 positive/negative pair whose common incidence passes an adjacency test
 contributes the combination sigma_i(x)*sigma_j - sigma_j(x)*sigma_i.
 
-Every stored vector is normalized in two steps: division by the absolute
-value of its last nonzero component, then clearing of all integer
-denominators by their lcm.  This makes representatives canonical up to the
-positive scalar, so duplicate detection is structural equality.
-
 No rank is computed to certify a new sigma or an extreme generator.  The
 generators are first written in span coordinates by
 `linalg.restrict_to_span`, and the run starts from the greedy basis that
@@ -20,9 +15,18 @@ its dual is pointed.  On a pointed cone the combinatorial adjacency test is
 exact (Fukuda & Prodon, "Double description method revisited", 1996):
 two extreme rays are adjacent iff no third extreme ray vanishes on every
 generator both vanish on.  Each combination of an adjacent pair is therefore
-an extreme ray of the new dual.  In the same way, once the final dual has
-full rank (the cone is pointed), a generator is extreme iff no other
-generator lies on every facet it lies on.
+an extreme ray of the new dual, and each new extreme ray comes from exactly
+one adjacent pair: it lies inside the one 2-face that pair spans.  In the
+same way, once the final dual has full rank (the cone is pointed), a
+generator is extreme iff no other generator lies on every facet it lies on.
+
+So the incidence masks decide which rays are new, and the engine carries
+each sigma as some positive multiple only, scaled by `_primitive` to
+integer coefficients of content 1; no sigma is inverted or compared by
+value.  The final sigmas are made canonical once, by `normalize`.  The
+dual rank is read off the masks too: the generators on which every final
+sigma vanishes span the lineality space, so the dual rank is the span rank
+minus their rank, and no elimination runs when there are none.
 
 When every current facet is simplicial (exactly d-1 incident generators),
 adjacency reduces to bitset work on (d-2)-subsets shared by exactly two
@@ -63,51 +67,46 @@ class ConeInput:
                 )
 
 
-def normalize(vec, field=None):
-    """Two-step canonical scaling of a nonzero vector.
+def _primitive(vec, field):
+    """The positive multiple of `vec` with integer coefficients of content 1."""
+    big = lcm(*(x.den for x in vec))
+    ints = [[c * (big // x.den) for c in x.coeffs] for x in vec]
+    g = gcd(*(c for row in ints for c in row))
+    return tuple(field._make(tuple(c // g for c in row), 1) for row in ints)
 
-    Step 1 divides by the absolute value of the last nonzero component; step
-    2 clears all integer denominators by their lcm.  Over a degree-1 field
-    the same representative is obtained directly by dividing the cleared
-    integer vector by the gcd of its entries.
+
+def normalize(vec, field=None):
+    """Canonical positive multiple of a nonzero vector.
+
+    A vector whose last nonzero entry is irrational is first divided by the
+    absolute value of that entry; then `_primitive` clears the denominators
+    and takes out the integer content.  Dividing by a positive rational
+    does not change the primitive form, and after the first step any two
+    positive multiples of `vec` differ by one; so they all give one tuple.
     """
     field = field or vec[0].field
-    last = None
-    for x in reversed(vec):
-        if x.sign() != 0:
-            last = x
-            break
+    last = next((x for x in reversed(vec) if x), None)
     if last is None:
         raise ZeroVector("normalize of the zero vector")
-    if field.degree == 1:
-        big = 1
-        for x in vec:
-            big = lcm(big, x.den)
-        ints = [x.coeffs[0] * (big // x.den) for x in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return tuple(field.from_rational(v // g) for v in ints)
-    inv_last = abs(last).inv()
-    scaled = [x * inv_last for x in vec]
-    big = 1
-    for x in scaled:
-        big = lcm(big, x.den)
-    if big == 1:
-        return tuple(scaled)
-    return tuple(x * big for x in scaled)
+    if any(last.coeffs[1:]):  # irrational
+        inv_last = abs(last).inv()
+        vec = [x * inv_last for x in vec]
+    return _primitive(vec, field)
 
 
 @dataclass
 class DualizationState:
-    """Support forms of the dual of the processed generator prefix."""
+    """Extreme rays of the dual of the processed generator prefix.
+
+    Each sigma is some primitive positive multiple of its ray, not the
+    canonical one; its incidence mask, not its value, tells it apart.
+    """
 
     field: object
     dim: int
     gens: list  # all (projected, normalized) generators, full input order
-    sigmas: list  # current extreme rays of the dual cone
+    sigmas: list  # current extreme rays of the dual cone, primitive multiples
     incidence: list  # per sigma: bitset of processed generators it vanishes on
-    simplicial: list  # per sigma: whether exactly dim-1 incident generators
 
 
 def initial_dual(gens, basis_idx, field):
@@ -119,21 +118,13 @@ def initial_dual(gens, basis_idx, field):
     incidence = []
     for j in range(d):
         col = tuple(inverse[i][j] for i in range(d))
-        sigmas.append(normalize(col, field))
+        sigmas.append(_primitive(col, field))
         mask = 0
         for t, i in enumerate(basis_idx):
             if t != j:
                 mask |= 1 << i
         incidence.append(mask)
-    state = DualizationState(
-        field=field,
-        dim=d,
-        gens=gens,
-        sigmas=sigmas,
-        incidence=incidence,
-        simplicial=[True] * d,
-    )
-    return state
+    return DualizationState(field, d, gens, sigmas, incidence)
 
 
 def _bits(mask):
@@ -147,7 +138,7 @@ def _bits(mask):
 def _combine(vec_i, vec_j, val_i, val_j, field):
     # val_i > 0 > val_j, so this is a positive combination vanishing on x_new
     lam = tuple(val_i * sj - val_j * si for si, sj in zip(vec_i, vec_j))
-    return normalize(lam, field)
+    return _primitive(lam, field)
 
 
 def _simplicial_pairs(state, pos, neg):
@@ -215,10 +206,9 @@ def fm_step(state, new_idx):
         # generator already inside the cone; hyperplane set untouched
         for t in zero:
             state.incidence[t] |= new_bit
-            state.simplicial[t] = state.incidence[t].bit_count() == d - 1
         return state
 
-    if d >= 2 and all(state.simplicial):
+    if d >= 2 and all(m.bit_count() == d - 1 for m in state.incidence):
         pairs = _simplicial_pairs(state, pos, neg)
     else:
         pairs = _general_pairs(state, pos, neg)
@@ -229,20 +219,16 @@ def fm_step(state, new_idx):
         new_sigmas.append(state.sigmas[t])
         new_incidence.append(state.incidence[t] | new_bit)
 
-    # adjacent pairs are exact on the pointed dual, so every distinct
-    # combination is a new extreme ray
-    seen = set()
+    # adjacent pairs are exact on the pointed dual, and each new extreme ray
+    # lies on the 2-face of exactly one pair
     for i, j in pairs:
-        lam = _combine(state.sigmas[i], state.sigmas[j], values[i], values[j], field)
-        if lam in seen:
-            continue
-        seen.add(lam)
-        new_sigmas.append(lam)
+        new_sigmas.append(
+            _combine(state.sigmas[i], state.sigmas[j], values[i], values[j], field)
+        )
         new_incidence.append(state.incidence[i] & state.incidence[j] | new_bit)
 
     state.sigmas = new_sigmas
     state.incidence = new_incidence
-    state.simplicial = [m.bit_count() == d - 1 for m in new_incidence]
     return state
 
 
@@ -281,7 +267,7 @@ def dualize(cone):
     normalized = []
     index_of = {}
     for row in rows:
-        if all(x.sign() == 0 for x in row):
+        if not any(row):
             continue  # zero rows generate nothing
         v = normalize(tuple(row), field)
         if v not in index_of:
@@ -299,16 +285,20 @@ def dualize(cone):
         if i not in chosen:
             fm_step(state, i)
 
-    sigmas = state.sigmas
     incidence = state.incidence
-    # the sigmas live in r-space, so the scan stops at rank r
-    dual_rank = len(linalg.independent_rows(sigmas))
+    everything = (1 << len(projected)) - 1
+    # the generators on every sigma span the lineality space
+    on_all = everything
+    for mask in incidence:
+        on_all &= mask
+    dual_rank = r
+    if on_all:
+        dual_rank -= linalg.rank([projected[i] for i in _bits(on_all)])
 
     # extreme input rays of a pointed cone: no other generator lies on every
     # support form generator i lies on
     extreme = []
     if dual_rank == r:
-        everything = (1 << len(projected)) - 1
         for i in range(len(projected)):
             common = everything
             for mask in incidence:
@@ -318,9 +308,9 @@ def dualize(cone):
                 extreme.append(i)
 
     ambient_sigmas = []
-    for s in sigmas:
+    for s in state.sigmas:
         form = [field.zero] * cone.dim
-        for c, x in zip(cols, s):
+        for c, x in zip(cols, normalize(s, field)):
             form[c] = x
         ambient_sigmas.append(tuple(form))
     return DualizationResult(

@@ -19,6 +19,16 @@ settings.register_profile(
 settings.load_profile("algpoly")
 
 
+# the fields of the property tests
+FIELDS = {
+    "qq": rational_field(),
+    "qsqrt5": field_create([-5, 0, 1], EmbeddingInterval(1, 3)),
+    "p12": field_create([-5, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1], EmbeddingInterval(1, 2)),
+    # 2a^2 - 3: the monic form a^2 - 3/2 reduces a^2 with a denominator
+    "half": field_create([-3, 0, 2], EmbeddingInterval(1, 2)),
+}
+
+
 @pytest.fixture(scope="session")
 def qsqrt5():
     return field_create([-5, 0, 1], EmbeddingInterval(1, 3))

@@ -11,10 +11,9 @@ sympy's isolated roots evaluated with mpmath.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, lcm
 
-from algpoly.dualize import normalize
-from algpoly.errors import DivisionByZero
+from algpoly.errors import DivisionByZero, ZeroVector
 from algpoly.numfield import _pdivmod, _trim
 
 
@@ -104,6 +103,23 @@ def null_space(rows):
             vec[col] = -m[row_i][free]
         basis.append(tuple(vec))
     return basis
+
+
+# ----------------------------------------------------------------------------
+# two-step canonical scaling, kept apart from algpoly.dualize.normalize
+
+def normalize(vec, field):
+    """Divide by the absolute value of the last nonzero entry, then clear
+    all denominators by their lcm."""
+    last = next((x for x in reversed(vec) if x.sign() != 0), None)
+    if last is None:
+        raise ZeroVector("normalize of the zero vector")
+    inv_last = euclid_inv(abs(last))
+    scaled = [x * inv_last for x in vec]
+    big = 1
+    for x in scaled:
+        big = lcm(big, x.den)
+    return tuple(x * big for x in scaled)
 
 
 # ----------------------------------------------------------------------------

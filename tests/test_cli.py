@@ -14,6 +14,7 @@ from oracles import gale_facet_count, gale_facets
 
 
 GOLDEN = REPO / "tests" / "golden"
+_QSQRT5 = "number_field min_poly (a^2 - 5) embedding [2 +/- 1]\n"
 
 
 def run_cli(args):
@@ -148,6 +149,32 @@ class TestRun:
             [exe, str(workdir / "cube.in")], capture_output=True, text=True
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("field_line, entry, number", [
+        ("", "9" * 5000, 10 ** 5000 - 1),
+        (_QSQRT5, f"({'9' * 5000}*a)", 10 ** 5000 - 1),
+        (_QSQRT5, "(a^100000)", 5 ** 50000),  # 34,949 digits
+    ], ids=["rational", "generator-multiple", "generator-power"])
+    def test_integers_past_the_str_digit_limit(self, tmp_path, field_line, entry, number):
+        # Python refuses int/str conversions of more than 4,300 digits unless
+        # the limit is lifted; a fresh interpreter starts with it in place
+        path = tmp_path / "long.in"
+        path.write_text(f"amb_space 1\n{field_line}vertices 2\n0 1\n{entry} 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "algpoly.cli", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert str(number) in path.with_suffix(".out").read_text()
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 _SMALL_INPUTS = {

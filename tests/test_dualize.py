@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from algpoly import ConeInput, PolyhedronModel, analyze, dualize, normalize
 from algpoly.dualize import fm_step, initial_dual
 from algpoly.errors import ZeroVector
@@ -15,6 +17,34 @@ from oracles import (
     hyperplane_set,
     random_cone,
 )
+from conftest import FIELDS
+
+
+@st.composite
+def _scaled_vectors(draw):
+    """A field, a nonzero vector whose last nonzero entry is rational or not,
+    and a positive scalar, rational or not."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    algebraic = field.degree > 1
+
+    def rational():
+        return Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3, 6])))
+
+    def entry(irrational):
+        coeffs = [rational() for _ in range(min(field.degree, 3))]
+        if irrational:
+            coeffs[1] = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.sampled_from([1, 2])))
+        return field.element(coeffs if irrational else coeffs[:1])
+
+    head = [entry(algebraic and draw(st.booleans())) for _ in range(draw(st.integers(0, 3)))]
+    last = entry(algebraic and draw(st.booleans()))
+    if not last:
+        last = field.one
+    vec = tuple(head + [last] + [field.zero] * draw(st.integers(0, 2)))
+    scale = entry(algebraic and draw(st.booleans()))
+    if not scale:
+        scale = field.from_rational(draw(st.integers(1, 9)))
+    return field, vec, scale if scale.sign() > 0 else -scale
 
 
 class TestNormalize:
@@ -58,6 +88,13 @@ class TestNormalize:
         with pytest.raises(ZeroVector):
             normalize((qq.zero, qq.zero))
 
+    @given(_scaled_vectors())
+    def test_matches_two_step_reference(self, case):
+        field, vec, scale = case
+        expected = oracles.normalize(vec, field)
+        assert normalize(vec, field) == expected
+        assert normalize(tuple(x * scale for x in vec), field) == expected
+
 
 class TestInitialDual:
     def test_unit_basis(self, qq):
@@ -86,7 +123,7 @@ class TestInitialDual:
         inverse = linalg.invert([list(gens[i]) for i in idx])
         for j, sigma in enumerate(state.sigmas):
             col = tuple(inverse[i][j] for i in range(4))
-            assert normalize(col, qsqrt5) == sigma
+            assert normalize(col, qsqrt5) == normalize(sigma, qsqrt5)
 
 
 class TestFmStep:
@@ -210,6 +247,33 @@ class TestDualize:
                 gens, field
             )
 
+    @pytest.mark.parametrize("field_name, rounds", [("qq", 20), ("qsqrt5", 15), ("p12", 5)])
+    def test_fm_invariants_random(self, request, field_name, rounds):
+        # repeated and positively scaled generators, lines, and spans of any
+        # dimension k <= d, embedded in d-space by an injective linear map
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(43)
+        scale = field.gen() + 3
+        for _ in range(rounds):
+            k = rng.randint(1, 4)
+            d = k + rng.randint(0, 2)
+            gens = random_cone(rng, field, k, rng.randint(k, k + 3), field_name != "qq")
+            gens += [tuple(-x for x in g) for g in rng.sample(gens, rng.choice([0, 0, 1]))]
+            gens += [tuple(x * scale for x in g) for g in rng.sample(gens, min(len(gens), 2))]
+            gens += rng.sample(gens, 2)
+            rng.shuffle(gens)
+            embed = _injective_map(rng, field, d, k)
+            rows = [tuple(_dot(m, g) for m in embed) for g in gens]
+            res = dualize(ConeInput(field, d, generators=rows))
+            hyps = res.support_hyperplanes
+            assert res.span_rank == k
+            # a form on the span reads in the coordinates of gens through embed
+            pulled = [tuple(_dot(h, col) for col in zip(*embed)) for h in hyps]
+            assert hyperplane_set(pulled, field) == brute_force_dual(gens, field)
+            assert len(set(res.incidence)) == len(res.incidence)
+            assert all(normalize(h, field) == h for h in hyps)
+            assert res.dual_rank == (oracles.rank([list(h) for h in hyps]) if hyps else 0)
+
     def test_tangent_redundant_inequality_dropped(self, qq):
         # x + y <= 2 touches the unit cube only along the edge x = y = 1
         q = qq.from_rational
@@ -304,6 +368,14 @@ class TestRanks:
         res = dualize(ConeInput(qq, 4, constraints=rows))
         assert (res.span_rank, res.dual_rank, res.lineality_dim) == (4, 2, 2)
         assert not res.pointed
+
+
+def _injective_map(rng, field, d, k):
+    """Rows of a random d x k integer matrix of rank k."""
+    while True:
+        rows = [tuple(field.from_rational(rng.randint(-2, 2)) for _ in range(k)) for _ in range(d)]
+        if oracles.rank([list(r) for r in rows]) == k:
+            return rows
 
 
 def _non_extreme_padding(rng, gens, field):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from algpoly import EmbeddingInterval, field_create, linalg, rational_field
+from algpoly import EmbeddingInterval, field_create, linalg
 from algpoly.errors import DivisionByZero, ShapeMismatch, SingularMatrix, VanishingElement
+
+from conftest import FIELDS
 
 
 def eye(field, n):
@@ -217,19 +219,10 @@ class TestRestrictToSpan:
 # ----------------------------------------------------------------------------
 # the fraction-free kernel against the field-division reference in oracles
 
-_FIELDS = {
-    "qq": rational_field(),
-    "qsqrt5": field_create([-5, 0, 1], EmbeddingInterval(1, 3)),
-    "p12": field_create([-5, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1], EmbeddingInterval(1, 2)),
-    # 2a^2 - 3: the monic form a^2 - 3/2 reduces a^2 with a denominator
-    "half": field_create([-3, 0, 2], EmbeddingInterval(1, 2)),
-}
-
-
 @st.composite
 def _matrices(draw, sizes=st.integers(1, 4), square=False, full=False, algebraic=False):
     """A field and a matrix of rank at most a drawn bound, rational or not."""
-    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     n_rows = draw(sizes)
     n_cols = n_rows if square else draw(sizes)
     rational = field.degree == 1 or not algebraic and draw(st.booleans())
@@ -297,10 +290,10 @@ class TestKernelAgainstReference:
         assert linalg.det(rows) == oracles.det(rows)
         assert linalg.rank(rows) == oracles.rank(rows)
 
-    @given(st.sampled_from(sorted(_FIELDS)), st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+    @given(st.sampled_from(sorted(FIELDS)), st.lists(st.integers(-9, 9), min_size=1, max_size=12),
            st.integers(1, 6))
     def test_inv(self, name, coeffs, den):
-        field = _FIELDS[name]
+        field = FIELDS[name]
         x = field.element(coeffs[:field.degree], den)
         if x.is_zero():
             with pytest.raises(DivisionByZero):
