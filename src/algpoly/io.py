@@ -27,8 +27,11 @@ from .errors import (
     ElementSyntaxError,
     FieldElementOutsideGrammar,
     InputSyntaxError,
+    NoRootInInterval,
+    NotSquareFree,
     UnknownGoal,
     UnsupportedBlock,
+    ZeroPolynomial,
 )
 from .numfield import (
     EmbeddingInterval,
@@ -202,9 +205,12 @@ def _parse_number_field(tokens, line_no):
     gen_match = re.search(r"[A-Za-z_][A-Za-z0-9_]*", poly_text)
     gen_name = gen_match.group(0) if gen_match else "a"
     coeffs = _poly_coeffs_from_text(poly_text, gen_name, line_no)
-    return field_create(
-        coeffs, EmbeddingInterval.from_center(center, radius), gen_name=gen_name
-    )
+    try:
+        return field_create(
+            coeffs, EmbeddingInterval.from_center(center, radius), gen_name=gen_name
+        )
+    except (ZeroPolynomial, NotSquareFree, NoRootInInterval) as exc:
+        raise InputSyntaxError(f"number_field defines no field: {exc}", line=line_no)
 
 
 def _poly_coeffs_from_text(text, gen_name, line_no):

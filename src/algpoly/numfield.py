@@ -1,10 +1,14 @@
 """Exact arithmetic and ordering in a real embedded algebraic number field.
 
-A field Q[a] is described by a monic defining polynomial and an interval
-isolating one real root, the generator a.  Elements are stored as integer
-coefficient vectors of length deg over a single positive integer
-denominator, kept in canonical reduced form, so equality and hashing are
-structural and the zero test is symbolic.
+A field Q[a] is described by a defining polynomial and an interval
+isolating one real root, the generator a.  Internally the polynomial is
+one primitive integer polynomial, and the generator enclosure is a pair of
+integers over one common denominator, refined on demand; the field is
+checked (square-free, exactly one root in the interval, no root at its
+ends) by integer pseudo-remainders and a Sturm count.  Elements are
+stored as integer coefficient vectors of length deg over a single
+positive integer denominator, kept in canonical reduced form, so equality
+and hashing are structural and the zero test is symbolic.
 
 Sign decisions for nonzero elements are numeric: the element polynomial is
 evaluated on an enclosing interval of the generator with outward-rounded
@@ -41,7 +45,10 @@ _ZERO_TEST_DIGITS = 300  # generator digits past which sign() tests for a zero
 
 
 # ----------------------------------------------------------------------------
-# dense univariate polynomials over Fraction, lowest degree first
+# dense univariate polynomials over Z, lowest degree first: the defining
+# polynomial, element polynomials and their gcds.  Remainders are primitive
+# pseudo-remainders, positive multiples of the true ones, so that Sturm
+# signs stay right (Cohen, GTM 138, section 3.3).
 
 def _trim(p):
     while p and p[-1] == 0:
@@ -49,48 +56,35 @@ def _trim(p):
     return p
 
 
-def _deg(p):
-    return len(p) - 1
+def _primitive(p):
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _pscale(p, c):
-    return _trim([c * x for x in p])
-
-
-def _pdivmod(p, q):
+def _prem(p, q):
+    """|lc(q)|**m times the remainder of p by q, for some m >= 0."""
     p = list(p)
-    dq = _deg(q)
-    if dq < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(_deg(p) - dq + 1, 0)
-    while _deg(p) >= dq:
-        k = _deg(p) - dq
-        c = p[-1] / q[-1]
-        quot[k] = c
-        for i in range(dq + 1):
-            p[k + i] -= c * q[i]
+    dq, lc = len(q) - 1, q[-1]
+    while len(p) > dq:
+        k = len(p) - 1 - dq
+        c = p[-1] if lc > 0 else -p[-1]
+        p = [abs(lc) * x for x in p]
+        for i, y in enumerate(q):
+            p[k + i] -= c * y
         _trim(p)
-    return _trim(quot), p
+    return p
 
 
 def _pgcd(p, q):
-    p, q = list(p), list(q)
+    """A gcd of p and q up to a nonzero factor ([] if both are 0)."""
+    p, q = _trim(list(p)), _trim(list(q))
     while q:
-        p, q = q, _pdivmod(p, q)[1]
-    if p:
-        p = _pscale(p, 1 / p[-1])
+        p, q = q, _primitive(_prem(p, q))
     return p
 
 
 def _pderiv(p):
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _peval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _heval(coeffs, num, den):
@@ -103,13 +97,13 @@ def _heval(coeffs, num, den):
 
 
 def _sturm_chain(p):
+    """Sturm sequence of p up to positive factors; it ends in gcd(p, p')."""
     chain = [list(p), _pderiv(p)]
-    while chain[-1]:
-        rem = _pdivmod(chain[-2], chain[-1])[1]
+    while True:
+        rem = _prem(chain[-2], chain[-1])
         if not rem:
-            break
-        chain.append(_pscale(rem, Fraction(-1)))
-    return [c for c in chain if c]
+            return chain
+        chain.append([-c for c in _primitive(rem)])
 
 
 def _variations(values):
@@ -125,11 +119,11 @@ def _variations(values):
     return count
 
 
-def _count_roots(chain, lo, hi):
-    """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    at_lo = _variations([_peval(c, lo) for c in chain])
-    at_hi = _variations([_peval(c, hi) for c in chain])
-    return at_lo - at_hi
+def _count_roots(chain, a, b, den):
+    """Number of distinct real roots in (a/den, b/den] by Sturm's theorem."""
+    at_a = _variations([_heval(c, a, den) for c in chain])
+    at_b = _variations([_heval(c, b, den) for c in chain])
+    return at_a - at_b
 
 
 # ----------------------------------------------------------------------------
@@ -149,14 +143,6 @@ def _eval_interval(coeffs, glo, ghi, bits):
         c = coeffs[i] << bits
         rlo, rhi = lo + c, hi + c
     return rlo, rhi
-
-
-def _frac_floor_scaled(fr, bits):
-    return (fr.numerator << bits) // fr.denominator
-
-
-def _frac_ceil_scaled(fr, bits):
-    return -((-fr.numerator << bits) // fr.denominator)
 
 
 # ----------------------------------------------------------------------------
@@ -250,74 +236,60 @@ class EmbeddingInterval:
 class NumberField:
     """A real embedded algebraic number field Q[a].
 
-    The generator enclosure only ever shrinks; refinement is by exact
-    bisection against the defining polynomial, so concurrent readers may use
-    a stale (wider) enclosure safely.
+    The generator enclosure is one tuple (lo, hi, den) of integers over a
+    common denominator.  It only ever shrinks, and it is replaced whole, so
+    concurrent readers may use a stale (wider) enclosure safely.
     """
 
     def __init__(self, min_poly, interval, gen_name="a"):
-        coeffs = _trim([Fraction(c) for c in min_poly])
-        if _deg(coeffs) < 1:
+        coeffs = [Fraction(c) for c in min_poly]
+        scale = lcm(*(c.denominator for c in coeffs))
+        poly = _trim([int(c * scale) for c in coeffs])
+        if len(poly) < 2:
             raise ZeroPolynomial("defining polynomial must have degree >= 1")
-        if coeffs[-1] != 1:
-            coeffs = _pscale(coeffs, 1 / coeffs[-1])
+        poly = _primitive(poly if poly[-1] > 0 else [-c for c in poly])
         if isinstance(interval, (tuple, list)):
             interval = EmbeddingInterval(*interval)
-        self.min_poly = tuple(coeffs)
-        self._int_poly = self._rationalize(coeffs, len(coeffs))[0][0]
-        self.degree = _deg(coeffs)
+        self.min_poly = tuple(Fraction(c, poly[-1]) for c in poly)
+        self._int_poly = poly
+        self.degree = len(poly) - 1
         self.gen_name = gen_name
         self.embedding = interval
 
-        g = _pgcd(list(coeffs), _pderiv(list(coeffs)))
-        if _deg(g) > 0:
-            raise NotSquareFree("defining polynomial has a repeated root")
-
         lo, hi = interval.lo, interval.hi
         if self.degree == 1:
-            root = -coeffs[0]
+            root = Fraction(-poly[0], poly[1])
             if not (lo <= root <= hi):
                 raise NoRootInInterval(f"rational root {root} outside [{lo}, {hi}]")
-            self._lo = self._hi = root
+            self._enc = (root.numerator, root.numerator, root.denominator)
         else:
-            if _peval(coeffs, lo) == 0 or _peval(coeffs, hi) == 0:
+            chain = _sturm_chain(poly)
+            if len(chain[-1]) > 1:
+                raise NotSquareFree("defining polynomial has a repeated root")
+            den = lcm(lo.denominator, hi.denominator)
+            a = lo.numerator * (den // lo.denominator)
+            b = hi.numerator * (den // hi.denominator)
+            if _heval(poly, a, den) == 0 or _heval(poly, b, den) == 0:
                 raise NoRootInInterval("interval endpoint is a rational root")
-            chain = _sturm_chain(coeffs)
-            n_roots = _count_roots(chain, lo, hi)
+            n_roots = _count_roots(chain, a, b, den)
             if n_roots != 1:
                 raise NoRootInInterval(
                     f"interval [{lo}, {hi}] contains {n_roots} roots, need exactly 1"
                 )
-            self._lo, self._hi = lo, hi
+            self._enc = (a, b, den)
         self._digits = 0
-        self._pow_rows = self._reduction_rows()
+        # a**deg .. a**(2*deg-2), columns 1.. of a**(deg-1), over their least
+        # common denominator
+        rows, big = self._mul_matrix((0,) * (self.degree - 1) + (1,))
+        powers = [list(col) for col in zip(*rows)][1:]
+        g = gcd(big, *(c for col in powers for c in col))
+        self._pow_rows = [[c // g for c in col] for col in powers], big // g
         self.zero = self._make((0,) * self.degree, 1)
         self.one = self._make((1,) + (0,) * (self.degree - 1), 1)
         if self.degree > 1:
             self.refine_generator(_INITIAL_DIGITS)
 
     # -- construction helpers
-
-    def _reduction_rows(self):
-        """a**k for k = deg .. 2*deg-2 as integer rows over one denominator."""
-        n = self.degree
-        rows = []
-        cur = [-c for c in self.min_poly[:n]]  # a**n, the polynomial being monic
-        for _ in range(n - 1):
-            rows.append(cur)
-            cur = [Fraction(0)] + cur
-            top = cur.pop()
-            if top:
-                for i in range(n):
-                    cur[i] += top * -self.min_poly[i]
-        return self._rationalize([c for row in rows for c in row], n)
-
-    @staticmethod
-    def _rationalize(fracs, width):
-        """Integer rows of `width` and their common denominator."""
-        den = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * den) for f in fracs]
-        return [ints[i:i + width] for i in range(0, len(ints), width)], den
 
     def _make(self, coeffs, den):
         if den < 0:
@@ -380,7 +352,8 @@ class NumberField:
     # -- generator enclosure
 
     def generator_enclosure(self):
-        return self._lo, self._hi
+        a, b, den = self._enc
+        return Fraction(a, den), Fraction(b, den)
 
     @property
     def generator_digits(self):
@@ -389,36 +362,51 @@ class NumberField:
     def refine_generator(self, digits):
         """Shrink the enclosure until its width is at most 10**-digits.
 
-        The endpoints are kept as integers over one common denominator, and
-        the cleared defining polynomial is evaluated at each midpoint by
-        homogeneous Horner, so the bisection never forms a Fraction.
+        The result is the cell that bisection would reach: with the width w
+        over den, that is the cell of the grid lo + j*w/(den*2**k) that holds
+        the generator, for the least k with w*10**digits <= den*2**k, or the
+        grid point itself if the defining polynomial vanishes there.  A few
+        integer Newton steps from the midpoint guess j; a binary search over
+        the grid points, which probes the guess and its neighbours first,
+        finds j exactly, so a bad guess costs at most k more evaluations.
         """
-        if self.degree == 1:
-            self._digits = max(self._digits, digits)
-            return
-        poly = self._int_poly
-        scale = 10 ** digits
-        lo, hi = self._lo, self._hi
-        den = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
-        positive_lo = _heval(poly, a, den) > 0
-        while (b - a) * scale > den:
-            mid = a + b
-            a, b, den = 2 * a, 2 * b, 2 * den
-            v = _heval(poly, mid, den)
-            if v == 0:  # cannot happen for an irreducible polynomial of degree > 1
-                a = b = mid
-                break
-            if (v > 0) == positive_lo:
-                a = mid
-            else:
-                b = mid
-        self._lo, self._hi = Fraction(a, den), Fraction(b, den)
+        a, b, den = self._enc
+        w = b - a
+        excess = -(-w * 10 ** digits // den)  # 2**k must reach it
+        if excess > 1:
+            k = (excess - 1).bit_length()
+            poly, dpoly = self._int_poly, _pderiv(self._int_poly)
+            base, top, den = a << k, b << k, den << k
+            positive_lo = _heval(poly, base, den) > 0
+            x = (base + top) >> 1
+            for _ in range(2 * k.bit_length()):  # Newton, clamped to the enclosure
+                d = _heval(dpoly, x, den)
+                if not d:
+                    break
+                step = _heval(poly, x, den) // d
+                x = min(max(x - step, base), top)
+                if abs(step) <= w:
+                    break
+            lo, hi = 0, 1 << k  # grid indices with known signs at both ends
+            guess = (x - base) // w
+            tries = [guess - 1, guess + 1, guess]
+            while hi - lo > 1:
+                j = tries.pop() if tries else (lo + hi) >> 1
+                if not lo < j < hi:
+                    continue
+                v = _heval(poly, base + j * w, den)
+                if v == 0:  # a rational root: only for a reducible polynomial
+                    lo = hi = j
+                elif (v > 0) == positive_lo:
+                    lo = j
+                else:
+                    hi = j
+            self._enc = (base + lo * w, base + hi * w, den)
         self._digits = max(self._digits, digits)
 
     def _gen_scaled(self, bits):
-        return _frac_floor_scaled(self._lo, bits), _frac_ceil_scaled(self._hi, bits)
+        a, b, den = self._enc
+        return (a << bits) // den, -((-b << bits) // den)
 
     def __repr__(self):
         poly = render_poly(self.min_poly, 1, self.gen_name)
@@ -641,11 +629,11 @@ class NFElem:
         the gcd in it decides the question exactly.
         """
         f = self.field
-        g = _pgcd(_trim([Fraction(c) for c in self.coeffs]), list(f.min_poly))
-        if _deg(g) < 1:
+        g = _pgcd(self.coeffs, f._int_poly)
+        if len(g) < 2:
             return
-        lo, hi = f._lo, f._hi
-        if _peval(g, lo) == 0 or _count_roots(_sturm_chain(g), lo, hi) > 0:
+        a, b, den = f._enc
+        if _heval(g, a, den) == 0 or _count_roots(_sturm_chain(g), a, b, den) > 0:
             raise VanishingElement(
                 f"element {render_poly(self.coeffs, self.den, f.gen_name)} "
                 "vanishes at the embedding: the defining polynomial is reducible"

@@ -5,16 +5,123 @@ oracle enumerates kernel vectors of generator subsets, face dimensions are
 ranks of generator rows, lattice points come from a bounding-box scan
 filtered by the support hyperplanes and the affine hull equations,
 cyclic polytope facets from the Gale evenness condition, automorphism counts
-from filtering all vertex permutations, and high-precision signs from
-sympy's isolated roots evaluated with mpmath.
+from filtering all vertex permutations, high-precision signs from
+sympy's isolated roots evaluated with mpmath, and gcds, Sturm counts and
+the generator enclosure from Fraction polynomial division and bisection.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, lcm
 
-from algpoly.errors import DivisionByZero, ZeroVector
-from algpoly.numfield import _pdivmod, _trim
+from algpoly.errors import (
+    DivisionByZero,
+    NoRootInInterval,
+    NotSquareFree,
+    ZeroPolynomial,
+    ZeroVector,
+)
+
+
+# ----------------------------------------------------------------------------
+# dense univariate polynomials over Fraction, lowest degree first, kept apart
+# from the integer polynomial kernel in algpoly.numfield that they check
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pdivmod(p, q):
+    p = list(p)
+    dq = len(q) - 1
+    if dq < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(p) - dq, 0)
+    while len(p) - 1 >= dq:
+        k = len(p) - 1 - dq
+        c = Fraction(p[-1]) / q[-1]
+        quot[k] = c
+        for i in range(dq + 1):
+            p[k + i] -= c * q[i]
+        _trim(p)
+    return _trim(quot), p
+
+
+def poly_gcd(p, q):
+    """Monic gcd of two rational polynomials ([] if both are zero)."""
+    p, q = _trim(list(p)), _trim(list(q))
+    while q:
+        p, q = q, _pdivmod(p, q)[1]
+    return [Fraction(c) / p[-1] for c in p] if p else p
+
+
+def _peval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def sturm_count(p, lo, hi):
+    """Distinct real roots of a nonzero polynomial in (lo, hi], by Sturm."""
+    p = _trim([Fraction(c) for c in p])
+    chain = [p, _trim([i * c for i, c in enumerate(p)][1:])]
+    while chain[-1]:
+        chain.append([-c for c in _pdivmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+
+    def variations(x):
+        signs = [v > 0 for v in (_peval(c, x) for c in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def field_decision(min_poly, lo, hi):
+    """The error class that creating this field must raise, or None."""
+    p = _trim([Fraction(c) for c in min_poly])
+    if len(p) < 2:
+        return ZeroPolynomial
+    if len(poly_gcd(p, [i * c for i, c in enumerate(p)][1:])) > 1:
+        return NotSquareFree
+    if len(p) == 2:
+        return None if lo <= -p[0] / p[1] <= hi else NoRootInInterval
+    if _peval(p, lo) == 0 or _peval(p, hi) == 0 or sturm_count(p, lo, hi) != 1:
+        return NoRootInInterval
+    return None
+
+
+def bisect_generator(lo, hi, min_poly, digits):
+    """The generator enclosure after bisecting [lo, hi] to 10**-digits.
+
+    One bit per evaluation: the reference for `NumberField.refine_generator`,
+    which must land on the same cell.  An exact midpoint root ends in a
+    point interval.
+    """
+    scale = lcm(*(Fraction(c).denominator for c in min_poly))
+    ints = [int(c * scale) for c in min_poly]
+
+    def positive_at(x):  # p(x) times a positive power of its denominator
+        v, power = 0, 1
+        for c in reversed(ints):
+            v = v * x.numerator + c * power
+            power *= x.denominator
+        return None if v == 0 else v > 0
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    positive_lo = positive_at(lo)
+    while hi - lo > Fraction(1, 10 ** digits):
+        mid = (lo + hi) / 2
+        v = positive_at(mid)
+        if v is None:
+            return mid, mid
+        if v == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 # ----------------------------------------------------------------------------

@@ -88,6 +88,24 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert not path.with_suffix(".out").exists()
 
+    @pytest.mark.parametrize("field_line", [
+        "(3) embedding [2 +/- 1]",
+        "(a^2 - 5) embedding [2 +/- 0]",
+        "(a^2 - 5) embedding [5 +/- 1]",
+        "(a^2 - 2a + 1) embedding [1 +/- 1]",
+        "(a^2 - 5) embedding [0 +/- 3]",
+    ], ids=["constant", "empty-interval", "no-root", "repeated-root", "two-roots"])
+    def test_number_field_defining_no_field_is_input_error(self, tmp_path, capsys, field_line):
+        path = tmp_path / "nofield.in"
+        path.write_text(
+            f"amb_space 1\nnumber_field min_poly {field_line}\nvertices 2\n0 1\n1 1\n"
+        )
+        assert run_cli([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "(line 2)" in err
+        assert "Traceback" not in err
+        assert not path.with_suffix(".out").exists()
+
     def test_bad_flag_is_input_error(self):
         assert run_cli(["--euclid-digits", "x"]) == 1
 

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algpoly import EmbeddingInterval, field_create, numfield, parse_elem, render_elem
 from algpoly.errors import (
@@ -15,7 +16,7 @@ from algpoly.errors import (
     ZeroPolynomial,
 )
 
-from oracles import oracle_sign
+from oracles import bisect_generator, field_decision, oracle_sign, poly_gcd, sturm_count
 
 
 class TestFieldCreate:
@@ -301,3 +302,109 @@ class TestFieldAxioms:
         for _ in range(80):
             x = random_elem(rng, field)
             assert x.sign() == oracle_sign(x)
+
+
+_P12 = [-5, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1]
+
+# defining polynomials and embeddings whose refinement is checked against
+# plain bisection
+_REFINE_FIELDS = {
+    "qsqrt5": ([-5, 0, 1], (1, 3)),
+    "negative-root": ([-5, 0, 1], (-3, -1)),
+    "p12": (_P12, (1, 2)),
+    "a8-5": ([-5, 0, 0, 0, 0, 0, 0, 0, 1], (1, 2)),
+    "half": ([-3, 0, 2], (1, 2)),
+    # (a - 3/2)(a^2 - 2) at 3/2: a grid point is the root
+    "rational-root": ([3, -2, Fraction(-3, 2), 1], (Fraction(29, 20), Fraction(31, 20))),
+    # (a^2 - 2)(a - 3) at sqrt(2)
+    "reducible": ([6, -2, -3, 1], (1, 2)),
+    # (a^2 - 2)(1000a - 1414) at sqrt(2), with the root 1.414 just outside
+    "near-root": ([2828, -2000, -1414, 1000], (Fraction(14141, 10000), Fraction(3, 2))),
+    # the root in the first and in the last cell of the first refinement
+    "first-cell": ([-5, 0, 1], (Fraction(isqrt(5 * 10 ** 50), 10 ** 25), 3)),
+    "last-cell": ([-5, 0, 1], (2, Fraction(isqrt(5 * 10 ** 50) + 1, 10 ** 25))),
+}
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("name", sorted(_REFINE_FIELDS))
+    def test_lands_on_the_bisection_cell(self, name):
+        poly, (lo, hi) = _REFINE_FIELDS[name]
+        field = field_create(poly, EmbeddingInterval(lo, hi))
+        assert field.generator_enclosure() == bisect_generator(lo, hi, field.min_poly, 20)
+        most = 20
+        for digits in (21, 40, 97, 60, 300, 700):
+            before = field.generator_enclosure()
+            field.refine_generator(digits)
+            want = bisect_generator(*before, field.min_poly, digits)
+            assert field.generator_enclosure() == want
+            most = max(most, digits)
+            assert field.generator_digits == most
+
+    @pytest.mark.parametrize("poly, interval", [([-5, 0, 1], (1, 3)), (_P12, (1, 2))],
+                             ids=["qsqrt5", "p12"])
+    def test_few_evaluations_to_5000_digits(self, monkeypatch, poly, interval):
+        field = field_create(poly, EmbeddingInterval(*interval))
+        lo, hi = field.generator_enclosure()
+        calls = []
+        heval = numfield._heval
+        monkeypatch.setattr(numfield, "_heval", lambda *args: calls.append(1) or heval(*args))
+        field.refine_generator(5000)
+        assert len(calls) <= 64
+        # bisection's cell without bisecting: the cell of lo + j*w/2**k that
+        # holds the root, for the least k with w*10**5000 <= 2**k
+        k = (ceil((hi - lo) * 10 ** 5000) - 1).bit_length()
+        assert 2 ** (k - 1) < (hi - lo) * 10 ** 5000 <= 2 ** k
+        cell = (hi - lo) / 2 ** k
+        new_lo, new_hi = field.generator_enclosure()
+        assert new_hi - new_lo == cell and ((new_lo - lo) / cell).denominator == 1
+        # no root at its ends and exactly one inside
+        assert field_decision(field.min_poly, new_lo, new_hi) is None
+
+
+@st.composite
+def _products_with_a_square(draw):
+    f = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=3))
+    g = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+    p = [0] * (2 * len(f) + len(g) - 2)
+    for i, x in enumerate(f):
+        for j, y in enumerate(f):
+            for k, z in enumerate(g):
+                p[i + j + k] += x * y * z
+    return p
+
+
+_INT_POLYS = st.one_of(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=9),
+    # sparse ones make pseudo-remainders skip powers
+    st.lists(st.one_of(st.just(0), st.integers(-20, 20)), min_size=3, max_size=9),
+    _products_with_a_square(),
+)
+# the real roots of these polynomials cluster in [-3, 3]
+_ENDPOINTS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_WIDTHS = st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12)
+
+
+class TestIntegerKernel:
+    """The integer polynomial kernel against the Fraction reference."""
+
+    @settings(max_examples=200)
+    @given(p=_INT_POLYS, q=_INT_POLYS, lo=_ENDPOINTS, width=_WIDTHS)
+    def test_against_fraction_reference(self, p, q, lo, width):
+        hi = lo + width
+        for a, b in ((p, q), (p, numfield._pderiv(p))):
+            g = numfield._pgcd(a, b)
+            assert [Fraction(c, g[-1]) for c in g] == poly_gcd(a, b)
+        trimmed = numfield._trim(list(p))
+        if len(trimmed) > 1:
+            chain = numfield._sturm_chain(trimmed)
+            ends = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+            count = numfield._count_roots(chain, *ends, lo.denominator * hi.denominator)
+            assert count == sturm_count(p, lo, hi)
+        want = field_decision(p, lo, hi)
+        try:
+            field_create(p, EmbeddingInterval(lo, hi))
+            got = None
+        except (ZeroPolynomial, NotSquareFree, NoRootInInterval) as exc:
+            got = type(exc)
+        assert got is want
