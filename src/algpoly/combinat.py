@@ -10,12 +10,15 @@ the full face down to it.  The length of the whole lattice is checked
 against the affine dimension found by `analyze`.
 
 Automorphism search works on a complete edge-colored graph over the
-vertices.  Colors are exact invariants of the group being computed and only
-prune the backtracking; every reported permutation is certified afterwards:
-combinatorial ones by checking that the facet bitsets are permuted among
-themselves, algebraic ones by reproducing the affine dependencies on an
-affine basis, Euclidean ones additionally by an exact orthogonality check
-of the solved linear map.
+vertices.  Colors are exact invariants of the group being computed and
+prune the backtracking; each leaf gets one exact check.  A combinatorial
+leaf must map the facet bitsets onto facet bitsets; a geometric one must be
+realized by an affine map, solved on an affine basis.  That map permutes
+the vertices, so it is invertible on their affine hull.  A Euclidean leaf
+has also matched the Gram matrix of the centered vertices off the diagonal,
+and zero row sums fix the diagonal, so the map is orthogonal on their span
+(Bremner, Dutour Sikiric, Pasechnik, Rehn & Schuermann, LMS J. Comput.
+Math. 17, 2014, section 3).
 """
 
 from __future__ import annotations
@@ -44,30 +47,27 @@ def face_lattice(analyzed):
     face is one more than the dimension of the polyhedron.
     """
     rows = analyzed.incidence
-    full = (1 << (len(analyzed.vertices) + len(analyzed.rays))) - 1
+    n = len(analyzed.vertices) + len(analyzed.rays)
+    full = (1 << n) - 1
 
-    faces = {full}
-    frontier = [full]
-    while frontier:
-        new = []
-        for face in frontier:
+    # faces are visited by decreasing generator count, so a face's depth is
+    # final before it is cut: every face containing it has been visited
+    buckets = [[] for _ in range(n + 1)]
+    buckets[n].append(full)
+    depth = {full: 0}
+    for bucket in reversed(buckets):
+        for face in bucket:
+            below = depth[face] + 1
             for row in rows:
                 g = face & row
-                if g not in faces:
-                    faces.add(g)
-                    new.append(g)
-        frontier = new
-    faces.add(0)
-
-    # every face is visited after all faces containing it, so its depth is
-    # final before it is passed on
-    depth = dict.fromkeys(faces, 0)
-    for face in sorted(faces, key=int.bit_count, reverse=True):
-        below = depth[face] + 1
-        for row in rows:
-            g = face & row
-            if g != face and depth[g] < below:
-                depth[g] = below
+                if g == face:
+                    continue
+                if g not in depth:
+                    depth[g] = below
+                    buckets[g.bit_count()].append(g)
+                elif depth[g] < below:
+                    depth[g] = below
+    depth.setdefault(0, 0)
     top = depth[0] - 1
     if analyzed.vertices and top != analyzed.affine_dim:
         raise InconsistentFaceLattice(
@@ -244,18 +244,7 @@ def automorphisms(analyzed, kind="combinatorial"):
             elements=[tuple()],
         )
 
-    facet_set = {}
-    for idx, mask in enumerate(facet_masks):
-        facet_set[mask] = idx
-
-    def comb_certify(perm):
-        for mask in facet_masks:
-            image = 0
-            for b in _bits(mask):
-                image |= 1 << perm[b]
-            if image not in facet_set:
-                return False
-        return True
+    facet_set = {mask: idx for idx, mask in enumerate(facet_masks)}
 
     # node colors: vertices and rays are distinguished, then by the multiset
     # of sizes of the facets through the generator
@@ -276,7 +265,9 @@ def automorphisms(analyzed, kind="combinatorial"):
             for i in range(n)
         ]
         edge = _edge_palette(shared)
-        certify = comb_certify
+
+        def certify(perm):
+            return _induced_facet_perm(perm, facet_masks, facet_set) is not None
     else:
         points = analyzed.vertex_points()
         field = analyzed.field
@@ -312,7 +303,7 @@ def automorphisms(analyzed, kind="combinatorial"):
                 for i in range(u)
             ]
             edge = _edge_palette(psi)
-        certify = _make_geometric_certifier(analyzed, centered, kind)
+        certify = _make_geometric_certifier(analyzed)
 
     elements = _search_automorphisms(n, node_colors, edge, certify)
     order = len(elements)
@@ -361,58 +352,35 @@ def _close(generated, generators, cap):
 
 
 def _induced_facet_perm(perm, facet_masks, facet_set):
+    """The facet permutation a vertex permutation induces, or None if a
+    facet's image is not a facet."""
     out = []
     for mask in facet_masks:
         image = 0
         for b in _bits(mask):
             image |= 1 << perm[b]
-        out.append(facet_set[image])
+        idx = facet_set.get(image)
+        if idx is None:
+            return None
+        out.append(idx)
     return tuple(out)
 
 
-def _make_geometric_certifier(analyzed, centered, kind):
+def _make_geometric_certifier(analyzed):
     """Certify candidates by solving for the affine map exactly."""
-    field = analyzed.field
-    one = field.one
+    one = analyzed.field.one
     # rows (p, 1) encode affine combinations as linear ones
     rows = [tuple(p) + (one,) for p in analyzed.vertex_points()]
-    u = len(rows)
     basis_idx, _, projected = linalg.restrict_to_span(rows)
     # coordinates of every vertex row in the chosen affine basis
     sq_inv = linalg.invert([list(projected[i]) for i in basis_idx])
     coords = [tuple(_dot(target, col) for col in zip(*sq_inv)) for target in projected]
 
-    full_dim = analyzed.affine_dim == analyzed.dim
-    w_basis_idx = (
-        linalg.independent_rows([list(w) for w in centered]) if full_dim else []
-    )
-
     def certify(perm):
-        image_rows = [list(rows[perm[i]]) for i in basis_idx]
-        if linalg.rank(image_rows) != len(basis_idx):
-            return False
-        image_cols = list(zip(*image_rows))
-        for i in range(u):
-            if tuple(_dot(coords[i], col) for col in image_cols) != rows[perm[i]]:
-                return False
-        if kind == "euclidean" and full_dim:
-            d = analyzed.dim
-            wb = [list(centered[i]) for i in w_basis_idx]
-            wb_images = [list(centered[perm[i]]) for i in w_basis_idx]
-            # Q with Q w = w' on the basis: Q^T = WB^-1 WB', exact
-            qt = linalg.mat_mul(linalg.invert(wb), wb_images)
-            q = [list(col) for col in zip(*qt)]
-            qtq = linalg.mat_mul(qt, q)
-            for i in range(d):
-                for j in range(d):
-                    want = field.one if i == j else field.zero
-                    if qtq[i][j] != want:
-                        return False
-            for i in range(u):
-                if tuple(linalg.mat_vec(q, list(centered[i]))) != tuple(
-                    centered[perm[i]]
-                ):
-                    return False
-        return True
+        image_cols = list(zip(*(rows[perm[i]] for i in basis_idx)))
+        return all(
+            tuple(_dot(c, col) for col in image_cols) == rows[perm[i]]
+            for i, c in enumerate(coords)
+        )
 
     return certify

@@ -302,7 +302,10 @@ def field_echo(field, digits=None):
     lo, hi = field.generator_enclosure()
     digits = digits if digits is not None else max(field.generator_digits, 1)
     center = fixed_decimal_str((lo + hi) / 2, digits)
-    radius = sci_str((hi - lo) / 2 if hi != lo else Fraction(0), 3)
+    # the rounded center moves off the midpoint, so the radius is measured
+    # from the printed center and rounded up: the echo encloses the generator
+    c = Fraction(center)
+    radius = sci_str(max(hi - c, c - lo), 3)
     return (
         "Real embedded number field:\n"
         f"min_poly {_min_poly_spaced(field)} embedding [{center} +/- {radius}]"

@@ -278,11 +278,6 @@ def mat_vec(rows, v):
     return [_dot(r, v) for r in rows]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[_dot(r, c) for c in bt] for r in a]
-
-
 def null_space(rows):
     """Basis of the right kernel {x : rows . x = 0}, read off the reduced echelon form."""
     w = _check_rect(rows)

@@ -189,7 +189,8 @@ def sig_decimal_str(fr, sig):
 
 
 def sci_str(fr, sig=3):
-    """Fraction -> scientific notation string with `sig` significant digits."""
+    """Fraction -> scientific notation string with `sig` significant digits,
+    rounded up in absolute value."""
     if fr == 0:
         return "0"
     sign = "-" if fr < 0 else ""
@@ -202,9 +203,9 @@ def sci_str(fr, sig=3):
         a *= 10
         exp -= 1
     scaled = a * 10 ** (sig - 1)
-    n = (scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2)
+    n = -(-scaled.numerator // scaled.denominator)
     digits = str(n)
-    if len(digits) > sig:
+    if len(digits) > sig:  # rounded up to the next power of ten
         exp += 1
         digits = digits[:sig]
     mant = digits[0] + ("." + digits[1:] if sig > 1 else "")

@@ -5,7 +5,8 @@ oracle enumerates kernel vectors of generator subsets, face dimensions are
 ranks of generator rows, lattice points come from a bounding-box scan
 filtered by the support hyperplanes and the affine hull equations,
 cyclic polytope facets from the Gale evenness condition, automorphism counts
-from filtering all vertex permutations, high-precision signs from
+from filtering all vertex permutations, affine and orthogonal maps from
+Gauss-Jordan solves, high-precision signs from
 sympy's isolated roots evaluated with mpmath, and gcds, Sturm counts and
 the generator enclosure from Fraction polynomial division and bisection.
 """
@@ -210,6 +211,24 @@ def null_space(rows):
             vec[col] = -m[row_i][free]
         basis.append(tuple(vec))
     return basis
+
+
+def invert(rows):
+    """Inverse of a nonsingular square matrix by Gauss-Jordan elimination."""
+    field = rows[0][0].field
+    n = len(rows)
+    aug = [
+        list(r) + [field.one if i == j else field.zero for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    m, pivots, _ = _eliminate(aug, True)
+    assert [c for _, c in pivots[:n]] == list(range(n)), "singular matrix"
+    return [row[n:] for row in m]
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[_dot(r, c) for c in bt] for r in a]
 
 
 # ----------------------------------------------------------------------------
@@ -421,10 +440,11 @@ def gale_facet_count(d, n):
 # ----------------------------------------------------------------------------
 # automorphism groups by filtering all vertex permutations
 
-def brute_force_combinatorial_order(analyzed):
+def brute_force_combinatorial_perms(analyzed):
+    """Every vertex permutation that maps facet bitsets onto facet bitsets."""
     masks = set(analyzed.incidence)
     n = len(analyzed.vertices)
-    count = 0
+    found = []
     for perm in permutations(range(n)):
         ok = True
         for mask in masks:
@@ -438,8 +458,12 @@ def brute_force_combinatorial_order(analyzed):
                 ok = False
                 break
         if ok:
-            count += 1
-    return count
+            found.append(perm)
+    return found
+
+
+def brute_force_combinatorial_order(analyzed):
+    return len(brute_force_combinatorial_perms(analyzed))
 
 
 def closure_order(perms, n):
@@ -456,6 +480,74 @@ def closure_order(perms, n):
                     new.append(h)
         frontier = new
     return len(seen)
+
+
+def affine_check(analyzed):
+    """A test whether an affine map takes vertex i to vertex perm[i] for all i.
+
+    The rows (p, 1) of an affinely independent vertex subset B form a basis
+    of their span.  Each row is solved for its coefficients in B by a kernel
+    vector; the map exists iff the same coefficients on the images of B
+    give the image of every row, and the images of B are independent.
+    """
+    one = analyzed.field.one
+    rows = [list(p) + [one] for p in analyzed.vertex_points()]
+    basis = []
+    for i in range(len(rows)):
+        if rank([rows[j] for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    coeffs = []
+    for row in rows:
+        (kappa,) = null_space([list(c) for c in zip(*([rows[b] for b in basis] + [row]))])
+        coeffs.append([-x / kappa[-1] for x in kappa[:-1]])
+
+    def check(perm):
+        images = [rows[perm[b]] for b in basis]
+        if rank(images) != len(basis):
+            return False
+        return all(
+            [sum_elems([c * img[k] for c, img in zip(cs, images)]) for k in range(len(row))]
+            == rows[perm[i]]
+            for i, (row, cs) in enumerate(zip(rows, coeffs))
+        )
+
+    return check
+
+
+def isometry_check(analyzed):
+    """A test whether an orthogonal map Q takes every centered vertex w_i to
+    w_perm[i].
+
+    Q is solved on a basis of the span of the centered vertices, extended by
+    a basis of its orthogonal complement that Q fixes; then Q^T Q = I and
+    Q w_i = w_perm[i] are checked exactly.  An orthogonal Q exists iff the
+    permutation is an isometry of the vertex set.
+    """
+    points = analyzed.vertex_points()
+    d = analyzed.dim
+    field = analyzed.field
+    n = len(points)
+    bary = [sum_elems([p[k] for p in points]) / n for k in range(d)]
+    w = [[p[k] - bary[k] for k in range(d)] for p in points]
+    span = []
+    for i in range(n):
+        if rank([w[j] for j in span + [i]]) > len(span):
+            span.append(i)
+    if not span:
+        return lambda perm: True  # a single vertex
+    complement = [list(c) for c in null_space([w[i] for i in span])]
+    basis_inv = invert([w[i] for i in span] + complement)
+    eye = [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
+
+    def check(perm):
+        # basis times Q^T gives the images
+        qt = mat_mul(basis_inv, [w[perm[i]] for i in span] + complement)
+        q = [list(col) for col in zip(*qt)]
+        if mat_mul(qt, q) != eye:
+            return False
+        return all([_dot(r, w[i]) for r in q] == w[perm[i]] for i in range(n))
+
+    return check
 
 
 def brute_force_euclidean_order(analyzed):

@@ -10,10 +10,14 @@ from algpoly.errors import InconsistentFaceLattice, UnboundedPolyhedron
 from algpoly import linalg
 
 from oracles import (
+    affine_check,
     brute_force_combinatorial_order,
+    brute_force_combinatorial_perms,
     brute_force_euclidean_order,
     closure_order,
     face_dims_by_rank,
+    isometry_check,
+    mat_mul,
     random_polytope,
 )
 
@@ -230,7 +234,7 @@ class TestAutomorphisms:
         for perm in g.vertex_perms:
             sq = [rows[i] for i in basis]
             images = [rows[perm[i]] for i in basis]
-            trans = linalg.mat_mul(linalg.invert(sq), images)
+            trans = mat_mul(linalg.invert(sq), images)
             # coordinates of each row in the basis rows
             coords_of = linalg.invert([list(c) for c in zip(*[rows[b] for b in basis])])
             for i, row in enumerate(rows):
@@ -279,3 +283,73 @@ class TestAutomorphisms:
         assert cycle_decomposition((1, 0, 2, 3)) == [(0, 1)]
         assert cycle_decomposition((0, 1, 2, 3)) == []
         assert cycle_decomposition((1, 2, 0)) == [(0, 1, 2)]
+
+
+def _random_polytopes(field, seed, count=4):
+    """Random polytopes with at most 7 vertices, full-dimensional ones and
+    copies lifted onto the hyperplane x_{d+1} = x_1 + x_2 of (d+1)-space."""
+    rng = random.Random(seed)
+    algebraic = field.degree > 1
+    out = []
+    for k in range(count):
+        d = 2 + k % 2
+        pts = random_polytope(rng, field, d, rng.randint(d + 1, 7), algebraic)
+        out.append(analyze(PolyhedronModel(field, d, vertices=pts)))
+        lifted = [p + (p[0] + p[1],) for p in pts]
+        out.append(analyze(PolyhedronModel(field, d + 1, vertices=lifted)))
+    return out
+
+
+class TestCertificateOracles:
+    """The exact checks the automorphism search no longer repeats per leaf:
+    every Euclidean element is an orthogonal map, every algebraic element an
+    affine map, and no affine automorphism is missed."""
+
+    def test_euclidean_elements_are_isometries(self, unit_square, unit_cube, icosahedron):
+        for analyzed in (unit_square, unit_cube, icosahedron):
+            g = automorphisms(analyzed, "euclidean")
+            assert all(map(isometry_check(analyzed), g.elements))
+
+    @pytest.mark.parametrize("name,seed", [("qq", 41), ("qsqrt5", 42), ("p12", 43)])
+    def test_random_polytopes(self, request, name, seed):
+        field = request.getfixturevalue(name)
+        for analyzed in _random_polytopes(field, seed):
+            ge = automorphisms(analyzed, "euclidean")
+            assert all(map(isometry_check(analyzed), ge.elements))
+            affine = list(filter(affine_check(analyzed), brute_force_combinatorial_perms(analyzed)))
+            assert sorted(automorphisms(analyzed, "algebraic").elements) == affine
+
+    @pytest.mark.parametrize("cls", ["sc2", "p12"])
+    def test_scaled_cube(self, cls):
+        # columns scaled by powers of the generator: still an affine cube,
+        # but a box with fewer isometries
+        analyzed = _bench_analyzed("scaled-cube", (3,), cls)
+        affine = list(filter(affine_check(analyzed), brute_force_combinatorial_perms(analyzed)))
+        assert sorted(automorphisms(analyzed, "algebraic").elements) == affine
+        assert len(affine) == 48
+        ge = automorphisms(analyzed, "euclidean")
+        assert ge.order == brute_force_euclidean_order(analyzed)
+        assert ge.order == (16 if cls == "sc2" else 8)
+        assert all(map(isometry_check(analyzed), ge.elements))
+
+    def test_oracles_reject_what_they_should(self, qq):
+        # the rectangle's quarter turns are affine maps but not isometries;
+        # a trapezoid has the eight combinatorial symmetries of a 4-gon but
+        # only its mirror is affine
+        q = qq.from_rational
+        rect = analyze(
+            PolyhedronModel(qq, 2, vertices=[(q(0), q(0)), (q(3), q(0)), (q(0), q(1)), (q(3), q(1))])
+        )
+        extra = set(automorphisms(rect, "algebraic").elements) - set(
+            automorphisms(rect, "euclidean").elements
+        )
+        assert len(extra) == 4
+        is_affine, is_isometry = affine_check(rect), isometry_check(rect)
+        assert all(is_affine(perm) and not is_isometry(perm) for perm in extra)
+        trapezoid = analyze(
+            PolyhedronModel(qq, 2, vertices=[(q(0), q(0)), (q(3), q(0)), (q(1), q(1)), (q(2), q(1))])
+        )
+        combinatorial = brute_force_combinatorial_perms(trapezoid)
+        affine = list(filter(affine_check(trapezoid), combinatorial))
+        assert len(combinatorial) == 8 and len(affine) == 2
+        assert automorphisms(trapezoid, "algebraic").order == 2

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from algpoly import (
+    EmbeddingInterval,
     Goal,
     ResultBundle,
     analyze,
     automorphisms,
     build_model,
     f_vector,
+    field_create,
     lattice_points,
     parse_input,
     triangulate,
@@ -198,3 +200,25 @@ class TestFieldEcho:
         text = field_echo(qsqrt5)
         assert text.startswith("Real embedded number field:\nmin_poly (a^2 - 5) embedding [")
         assert "+/-" in text
+
+    @pytest.mark.parametrize(
+        "min_poly,lo,hi",
+        [
+            ([-2, 0, 0, 1], 1, 2),  # Q(cbrt 2)
+            ([-5, 0, 1], 1, 3),  # Q(sqrt 5)
+            ([-5, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1], 1, 2),  # p12
+            ([-3, 0, 2], 1, 2),  # 2a^2 - 3
+            ([-5, 0, 0, 0, 0, 0, 0, 0, 1], 1, 2),  # a^8 - 5
+        ],
+    )
+    def test_echo_parses_back_around_the_generator(self, min_poly, lo, hi):
+        # the printed [c +/- r] must contain the refined enclosure, so that
+        # reading the echo back defines the same embedding
+        for digits in (20, 21, 25, 30, 50, 75, 100, 200, 300):
+            field = field_create(min_poly, EmbeddingInterval(lo, hi))
+            field.refine_generator(digits)
+            g_lo, g_hi = field.generator_enclosure()
+            echo = field_echo(field).splitlines()[1]
+            spec = parse_input(f"amb_space 1\nnumber_field {echo}\nvertices 1\n0 1\n")
+            emb = spec.field.embedding
+            assert emb.lo <= g_lo and g_hi <= emb.hi, (digits, echo)

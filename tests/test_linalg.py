@@ -45,7 +45,7 @@ class TestDet:
         for _ in range(10):
             m1 = rand_matrix(rng, qsqrt5, 3)
             m2 = rand_matrix(rng, qsqrt5, 3)
-            assert linalg.det(linalg.mat_mul(m1, m2)) == linalg.det(m1) * linalg.det(m2)
+            assert linalg.det(oracles.mat_mul(m1, m2)) == linalg.det(m1) * linalg.det(m2)
 
     def test_rational_bareiss_path_agrees(self, qq, qsqrt5):
         rng = random.Random(4)
@@ -69,7 +69,7 @@ class TestInvertSolve:
         one, zero = qsqrt5.one, qsqrt5.zero
         inv = linalg.invert([[one, one], [zero, a]])
         assert inv == [[one, -a / 5], [zero, a / 5]]
-        assert linalg.mat_mul([[one, one], [zero, a]], inv) == eye(qsqrt5, 2)
+        assert oracles.mat_mul([[one, one], [zero, a]], inv) == eye(qsqrt5, 2)
 
     def test_invert_roundtrip(self, qsqrt5):
         rng = random.Random(9)
@@ -80,7 +80,7 @@ class TestInvertSolve:
                 inv = linalg.invert(m)
             except SingularMatrix:
                 continue
-            assert linalg.mat_mul(m, inv) == eye(qsqrt5, 3)
+            assert oracles.mat_mul(m, inv) == eye(qsqrt5, 3)
             count += 1
 
     def test_singular(self, qq):
