@@ -21,12 +21,16 @@ same way, once the final dual has full rank (the cone is pointed), a
 generator is extreme iff no other generator lies on every facet it lies on.
 
 So the incidence masks decide which rays are new, and the engine carries
-each sigma as some positive multiple only, scaled by `_primitive` to
-integer coefficients of content 1; no sigma is inverted or compared by
-value.  The final sigmas are made canonical once, by `normalize`.  The
-dual rank is read off the masks too: the generators on which every final
-sigma vanishes span the lineality space, so the dual rank is the span rank
-minus their rank, and no elimination runs when there are none.
+each sigma as some positive multiple only; no sigma is inverted or compared
+by value.  Generators and sigmas are flat integer rows of `n` coefficients
+per entry, `n` chosen as in `linalg._prepare`: a value sigma(x) is one
+integer dot product, or for n > 1 one convolution reduced once by
+`NumberField._reduce_powers`, and `linalg._combine` keeps each sigma
+primitive.  The final sigmas become field elements once, made canonical by
+`normalize`.  The dual rank is read off the masks too: the generators on
+which every final sigma vanishes span the lineality space, so the dual
+rank is the span rank minus their rank, and no elimination runs when there
+are none.
 
 When every current facet is simplicial (exactly d-1 incident generators),
 adjacency reduces to bitset work on (d-2)-subsets shared by exactly two
@@ -41,10 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroVector
-from .linalg import _dot
 
 
 @dataclass
@@ -98,33 +102,39 @@ def normalize(vec, field=None):
 class DualizationState:
     """Extreme rays of the dual of the processed generator prefix.
 
-    Each sigma is some primitive positive multiple of its ray, not the
-    canonical one; its incidence mask, not its value, tells it apart.
+    Generators and sigmas are flat integer rows of `n` coefficients per
+    entry.  Each sigma is some primitive positive multiple of its ray, not
+    the canonical one; its incidence mask, not its value, tells it apart.
     """
 
     field: object
     dim: int
-    gens: list  # all (projected, normalized) generators, full input order
-    sigmas: list  # current extreme rays of the dual cone, primitive multiples
+    n: int  # integer coefficients per entry
+    gens: list  # all projected generators, full input order, flat rows
+    sigmas: list  # current extreme rays of the dual cone, flat primitive rows
     incidence: list  # per sigma: bitset of processed generators it vanishes on
+
+    def elements(self, row):
+        """The field elements of a flat row."""
+        n, pad = self.n, (0,) * (self.field.degree - self.n)
+        return tuple(self.field._make(tuple(row[j:j + n]) + pad, 1) for j in range(0, len(row), n))
 
 
 def initial_dual(gens, basis_idx, field):
     """Dual of the simplicial cone spanned by the chosen basis generators."""
     d = len(basis_idx)
-    basis_rows = [list(gens[i]) for i in basis_idx]
-    inverse = linalg.invert(basis_rows)
-    sigmas = []
-    incidence = []
-    for j in range(d):
-        col = tuple(inverse[i][j] for i in range(d))
-        sigmas.append(_primitive(col, field))
+    _, n, flat, _ = linalg._prepare(gens)
+    inverse = linalg.invert([list(gens[i]) for i in basis_idx])
+    sigmas, incidence = [], []
+    for j, col in enumerate(linalg._int_rows(zip(*inverse), n)[0]):
+        g = gcd(*col)
+        sigmas.append([c // g for c in col])
         mask = 0
         for t, i in enumerate(basis_idx):
             if t != j:
                 mask |= 1 << i
         incidence.append(mask)
-    return DualizationState(field, d, gens, sigmas, incidence)
+    return DualizationState(field, d, n, flat, sigmas, incidence)
 
 
 def _bits(mask):
@@ -133,12 +143,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _combine(vec_i, vec_j, val_i, val_j, field):
-    # val_i > 0 > val_j, so this is a positive combination vanishing on x_new
-    lam = tuple(val_i * sj - val_j * si for si, sj in zip(vec_i, vec_j))
-    return _primitive(lam, field)
 
 
 def _simplicial_pairs(state, pos, neg):
@@ -193,10 +197,25 @@ def _general_pairs(state, pos, neg):
 def fm_step(state, new_idx):
     """Extend the processed cone by generator `new_idx` and shrink its dual."""
     x = state.gens[new_idx]
-    field = state.field
-    d = state.dim
-    values = [_dot(s, x) for s in state.sigmas]
-    signs = [v.sign() for v in values]
+    field, d, n = state.field, state.dim, state.n
+    if n == 1:
+        values = [[sum(map(mul, s, x))] for s in state.sigmas]
+        signs = [(v > 0) - (v < 0) for v, in values]
+    else:
+        # each value is one convolution over all entries, reduced once; it
+        # is the true value times the positive `_pow_rows` denominator
+        terms = [(j, [(k, b) for k, b in enumerate(x[j:j + n]) if b]) for j in range(0, len(x), n)]
+        values = []
+        for s in state.sigmas:
+            conv = [0] * (2 * n - 1)
+            for j, xt in terms:
+                for i in range(n):
+                    a = s[j + i]
+                    if a:
+                        for k, b in xt:
+                            conv[i + k] += a * b
+            values.append(field._reduce_powers(conv))
+        signs = [field._make(tuple(v), 1).sign() for v in values]
     pos = [t for t, s in enumerate(signs) if s > 0]
     neg = [t for t, s in enumerate(signs) if s < 0]
     zero = [t for t, s in enumerate(signs) if s == 0]
@@ -222,8 +241,9 @@ def fm_step(state, new_idx):
     # adjacent pairs are exact on the pointed dual, and each new extreme ray
     # lies on the 2-face of exactly one pair
     for i, j in pairs:
+        # values[i] > 0 > values[j]: a positive combination vanishing on x
         new_sigmas.append(
-            _combine(state.sigmas[i], state.sigmas[j], values[i], values[j], field)
+            linalg._combine(field, n, values[i], state.sigmas[j], values[j], state.sigmas[i])[0]
         )
         new_incidence.append(state.incidence[i] & state.incidence[j] | new_bit)
 
@@ -310,7 +330,7 @@ def dualize(cone):
     ambient_sigmas = []
     for s in state.sigmas:
         form = [field.zero] * cone.dim
-        for c, x in zip(cols, normalize(s, field)):
+        for c, x in zip(cols, normalize(state.elements(s), field)):
             form[c] = x
         ambient_sigmas.append(tuple(form))
     return DualizationResult(

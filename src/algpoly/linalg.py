@@ -97,7 +97,7 @@ def _combine(field, n, p, u, c, v):
         p, c = p[0], c[0]
         row = [p * x - c * y for x, y in zip(u, v)]
     else:
-        powers, big = field._pow_rows
+        big = field._pow_rows[1]
         pt = [(i, a) for i, a in enumerate(p) if a]
         ct = [(i, -a) for i, a in enumerate(c) if a]
         row = []
@@ -109,12 +109,7 @@ def _combine(field, n, p, u, c, v):
                     if b:
                         for i, a in terms:
                             conv[i + k - j] += a * b
-            low = conv[:n] if big == 1 else [x * big for x in conv[:n]]
-            for k in range(n, 2 * n - 1):
-                if conv[k]:
-                    t = conv[k]
-                    low = [x + t * r for x, r in zip(low, powers[k - n])]
-            row += low
+            row += field._reduce_powers(conv)
     g = gcd(*row)
     if g > 1:
         row = [a // g for a in row]

@@ -322,6 +322,19 @@ class NumberField:
         big = lcm(*(d for _, d in cols))
         return [[c[i] * (big // d) for c, d in cols] for i in range(self.degree)], big
 
+    def _reduce_powers(self, conv):
+        """The product of two integer coefficient vectors, given as their
+        convolution of length 2*deg-1, as deg integer coefficients over the
+        positive denominator `_pow_rows[1]`."""
+        powers, big = self._pow_rows
+        n = self.degree
+        low = conv[:n] if big == 1 else [x * big for x in conv[:n]]
+        for k in range(n, 2 * n - 1):
+            if conv[k]:
+                t = conv[k]
+                low = [x + t * r for x, r in zip(low, powers[k - n])]
+        return low
+
     # -- element factories
 
     def element(self, coeffs, den=1):
@@ -512,14 +525,7 @@ class NFElem:
         den = self.den * o.den
         if not any(conv[n:]):
             return f._make(tuple(conv[:n]), den)
-        rows, big = f._pow_rows
-        acc = [c * big for c in conv[:n]]
-        for k in range(n, 2 * n - 1):
-            if conv[k]:
-                m = conv[k]
-                for i, r in enumerate(rows[k - n]):
-                    acc[i] += m * r
-        return f._make(tuple(acc), den * big)
+        return f._make(tuple(f._reduce_powers(conv)), den * f._pow_rows[1])
 
     __rmul__ = __mul__
 

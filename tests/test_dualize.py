@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import oracles
 from algpoly import ConeInput, PolyhedronModel, analyze, dualize, normalize
 from algpoly.dualize import fm_step, initial_dual
 from algpoly.errors import ZeroVector
+from algpoly.numfield import NFElem
 from algpoly import linalg
 
 from oracles import (
@@ -18,6 +20,8 @@ from oracles import (
     random_cone,
 )
 from conftest import FIELDS
+
+dualize_module = importlib.import_module("algpoly.dualize")  # `algpoly.dualize` is the function
 
 
 @st.composite
@@ -101,18 +105,19 @@ class TestInitialDual:
         one, zero = qq.one, qq.zero
         gens = [(one, zero), (zero, one)]
         state = initial_dual(gens, [0, 1], qq)
-        assert state.sigmas == [(one, zero), (zero, one)]
+        assert [state.elements(s) for s in state.sigmas] == [(one, zero), (zero, one)]
         assert state.incidence == [0b10, 0b01]
 
     def test_skew_basis(self, qq):
         one, zero = qq.one, qq.zero
         gens = [(one, zero), (one, one)]
         state = initial_dual(gens, [0, 1], qq)
-        for sigma in state.sigmas:
+        sigmas = [state.elements(s) for s in state.sigmas]
+        for sigma in sigmas:
             for g in gens:
                 acc = sigma[0] * g[0] + sigma[1] * g[1]
                 assert acc.sign() >= 0
-        assert set(state.sigmas) == {(one, -one), (zero, one)}
+        assert set(sigmas) == {(one, -one), (zero, one)}
 
     def test_icosahedron_initial_simplex(self, icosahedron, qsqrt5):
         gens = [tuple(v) for v in icosahedron.vertices]
@@ -123,7 +128,7 @@ class TestInitialDual:
         inverse = linalg.invert([list(gens[i]) for i in idx])
         for j, sigma in enumerate(state.sigmas):
             col = tuple(inverse[i][j] for i in range(4))
-            assert normalize(col, qsqrt5) == normalize(sigma, qsqrt5)
+            assert normalize(col, qsqrt5) == normalize(state.elements(sigma), qsqrt5)
 
 
 class TestFmStep:
@@ -140,7 +145,7 @@ class TestFmStep:
         gens = [(q(1), q(0)), (q(0), q(1)), (q(-1), q(2))]
         state = initial_dual(gens, [0, 1], qq)
         fm_step(state, 2)
-        assert set(state.sigmas) == {(q(0), q(1)), (q(2), q(1))}
+        assert {state.elements(s) for s in state.sigmas} == {(q(0), q(1)), (q(2), q(1))}
 
 
 class TestDualize:
@@ -227,17 +232,19 @@ class TestDualize:
             assert forms == reference
 
     @pytest.mark.parametrize(
-        "field_name, rounds, max_dim", [("qq", 12, 5), ("qsqrt5", 10, 4), ("p12", 3, 4)]
+        "field_name, rounds, max_dim",
+        [("qq", 12, 5), ("qsqrt5", 10, 4), ("p12", 3, 4), ("half", 8, 4),
+         ("qsqrt5-rational", 10, 4)],
     )
-    def test_extreme_matches_rank_oracle(self, request, field_name, rounds, max_dim):
+    def test_extreme_matches_rank_oracle(self, field_name, rounds, max_dim):
         # in 5-space an edge can lie on more than d-2 facets, so counting
         # incident facets would not tell edge points from extreme rays
-        field = request.getfixturevalue(field_name)
+        field, algebraic = _case(field_name)
         rng = random.Random(41)
         for _ in range(rounds):
             d = rng.randint(2, max_dim)
-            gens = random_cone(rng, field, d, rng.randint(d, d + 3), field_name != "qq")
-            padded = gens + _non_extreme_padding(rng, gens, field)
+            gens = random_cone(rng, field, d, rng.randint(d, d + 3), algebraic)
+            padded = gens + _non_extreme_padding(rng, gens, field, _scale(field, algebraic))
             rng.shuffle(padded)
             res = dualize(ConeInput(field, d, generators=padded))
             assert res.pointed
@@ -247,17 +254,20 @@ class TestDualize:
                 gens, field
             )
 
-    @pytest.mark.parametrize("field_name, rounds", [("qq", 20), ("qsqrt5", 15), ("p12", 5)])
-    def test_fm_invariants_random(self, request, field_name, rounds):
+    @pytest.mark.parametrize(
+        "field_name, rounds",
+        [("qq", 20), ("qsqrt5", 15), ("p12", 5), ("half", 10), ("qsqrt5-rational", 15)],
+    )
+    def test_fm_invariants_random(self, field_name, rounds):
         # repeated and positively scaled generators, lines, and spans of any
         # dimension k <= d, embedded in d-space by an injective linear map
-        field = request.getfixturevalue(field_name)
+        field, algebraic = _case(field_name)
         rng = random.Random(43)
-        scale = field.gen() + 3
+        scale = _scale(field, algebraic)
         for _ in range(rounds):
             k = rng.randint(1, 4)
             d = k + rng.randint(0, 2)
-            gens = random_cone(rng, field, k, rng.randint(k, k + 3), field_name != "qq")
+            gens = random_cone(rng, field, k, rng.randint(k, k + 3), algebraic)
             gens += [tuple(-x for x in g) for g in rng.sample(gens, rng.choice([0, 0, 1]))]
             gens += [tuple(x * scale for x in g) for g in rng.sample(gens, min(len(gens), 2))]
             gens += rng.sample(gens, 2)
@@ -335,6 +345,35 @@ class TestDualize:
         assert res.extreme == []
 
 
+@pytest.mark.parametrize("field_name", ["qq", "qsqrt5", "qsqrt5-rational", "p12", "half"])
+def test_fm_step_makes_no_field_arithmetic(monkeypatch, field_name):
+    # fm_step works on flat integer rows; only signs are taken through NFElem
+    field, algebraic = _case(field_name)
+
+    def refuse(*args):
+        raise AssertionError("NFElem arithmetic inside fm_step")
+
+    plain_step = dualize_module.fm_step
+    steps = []
+
+    def guarded(state, new_idx):
+        steps.append(new_idx)
+        with pytest.MonkeyPatch.context() as mp:
+            for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                       "__truediv__", "inv"):
+                mp.setattr(NFElem, op, refuse)
+            return plain_step(state, new_idx)
+
+    monkeypatch.setattr(dualize_module, "fm_step", guarded)
+    rng = random.Random(47)
+    for _ in range(3):
+        gens = random_cone(rng, field, 4, 8, algebraic)
+        res = dualize(ConeInput(field, 4, generators=gens))
+        expected = list(brute_force_dual(gens, field))
+        assert hyperplane_set(res.support_hyperplanes, field) == expected
+    assert steps
+
+
 class TestRanks:
     @pytest.mark.parametrize("field_name", ["qq", "qsqrt5"])
     def test_cone_with_lineality(self, request, field_name):
@@ -378,9 +417,21 @@ def _injective_map(rng, field, d, k):
             return rows
 
 
-def _non_extreme_padding(rng, gens, field):
+def _case(field_name):
+    """The field of a parametrized case and whether its rows are algebraic;
+    `qsqrt5-rational` has rational rows in Q(sqrt5)."""
+    base = field_name.removesuffix("-rational")
+    return FIELDS[base], base != "qq" and base == field_name
+
+
+def _scale(field, algebraic):
+    """A positive scalar that keeps rational rows rational."""
+    return field.gen() + 3 if algebraic else field.from_rational(4)
+
+
+def _non_extreme_padding(rng, gens, field, scale):
     """Non-extreme rays of cone(gens): edge midpoints, points inside facets,
-    an interior point, and positive multiples of generators."""
+    an interior point, and positive multiples of generators by `scale`."""
     d = len(gens[0])
     facets = brute_force_dual(gens, field)
     rays = list(dict.fromkeys(normalize(g, field) for g in gens))
@@ -400,6 +451,5 @@ def _non_extreme_padding(rng, gens, field):
     for f in facets:
         pad.append(total([g for g in rays if _dot(f, g).sign() == 0]))
     pad.append(total(rays))
-    scale = field.gen() + 3
     pad += [tuple(x * scale for x in g) for g in rng.sample(gens, min(2, len(gens)))]
     return rng.sample(pad, min(len(pad), 6))

@@ -19,8 +19,10 @@ Every run also lists each program exit code in `exit_codes.txt`.  The
 job streams are read from `perfbench/jobs.py`; nothing under `perfbench/`
 is written.
 
-`--compare A B` prints each file that differs between two such directories,
-with the numbers of its differing lines, and exits 1 on any difference.
+`--compare A B` compares two such directories byte for byte.  It prints
+each file that differs, with the numbers of its differing lines, or "line
+endings" if only the line endings or the final newline differ, and exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -99,16 +101,19 @@ def compare(a, b):
         print(f"{name}: only in {a if name in names_a else b}")
         differ = True
     for name in sorted(names_a & names_b):
-        lines_a = (a / name).read_text().splitlines()
-        lines_b = (b / name).read_text().splitlines()
+        bytes_a, bytes_b = (a / name).read_bytes(), (b / name).read_bytes()
+        if bytes_a == bytes_b:
+            continue
+        differ = True
         bad = [
             i + 1
-            for i, (x, y) in enumerate(zip_longest(lines_a, lines_b))
+            for i, (x, y) in enumerate(zip_longest(bytes_a.splitlines(), bytes_b.splitlines()))
             if x != y
         ]
         if bad:
             print(f"{name}: lines {' '.join(str(i) for i in bad)}")
-            differ = True
+        else:
+            print(f"{name}: line endings")
     print(f"{len(names_a | names_b)} files, {'differences found' if differ else 'identical'}")
     return 1 if differ else 0
 
