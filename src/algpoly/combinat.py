@@ -277,7 +277,7 @@ def automorphisms(analyzed, kind="combinatorial"):
         )
         centered = [tuple(p[k] - bary[k] for k in range(analyzed.dim)) for p in points]
         if kind == "euclidean":
-            gram = [[_dot(centered[i], centered[j]) for j in range(u)] for i in range(u)]
+            gram = [linalg.mat_vec(centered, c) for c in centered]
             edge = _edge_palette(gram)
         elif u == 1:
             edge = [[0]]
@@ -285,23 +285,10 @@ def automorphisms(analyzed, kind="combinatorial"):
             # inertia-normalized Gram data: w_i^T M^-1 w_j with M the second
             # moment matrix of the centered vertices, an exact invariant of
             # invertible affine maps
-            _, cols, projected = linalg.restrict_to_span(centered)
-            r = len(cols)
-            moment = [
-                [
-                    sum((projected[k][i] * projected[k][j] for k in range(u)), field.zero)
-                    for j in range(r)
-                ]
-                for i in range(r)
-            ]
-            minv = linalg.invert(moment)
-            psi = [
-                [
-                    _dot(linalg.mat_vec(minv, list(projected[i])), projected[j])
-                    for j in range(u)
-                ]
-                for i in range(u)
-            ]
+            _, _, projected = linalg.restrict_to_span(centered)
+            columns = list(zip(*projected))
+            minv = linalg.invert([[_dot(a, b) for b in columns] for a in columns])
+            psi = [linalg.mat_vec(projected, linalg.mat_vec(minv, p)) for p in projected]
             edge = _edge_palette(psi)
         certify = _make_geometric_certifier(analyzed)
 
@@ -374,12 +361,13 @@ def _make_geometric_certifier(analyzed):
     basis_idx, _, projected = linalg.restrict_to_span(rows)
     # coordinates of every vertex row in the chosen affine basis
     sq_inv = linalg.invert([list(projected[i]) for i in basis_idx])
-    coords = [tuple(_dot(target, col) for col in zip(*sq_inv)) for target in projected]
+    inverse_cols = list(zip(*sq_inv))
+    coords = [linalg.mat_vec(inverse_cols, target) for target in projected]
 
     def certify(perm):
         image_cols = list(zip(*(rows[perm[i]] for i in basis_idx)))
         return all(
-            tuple(_dot(c, col) for col in image_cols) == rows[perm[i]]
+            tuple(linalg.mat_vec(image_cols, c)) == rows[perm[i]]
             for i, c in enumerate(coords)
         )
 

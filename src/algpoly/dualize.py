@@ -22,10 +22,9 @@ generator is extreme iff no other generator lies on every facet it lies on.
 
 So the incidence masks decide which rays are new, and the engine carries
 each sigma as some positive multiple only; no sigma is inverted or compared
-by value.  Generators and sigmas are flat integer rows of `n` coefficients
-per entry, `n` chosen as in `linalg._prepare`: a value sigma(x) is one
-integer dot product, or for n > 1 one convolution reduced once by
-`NumberField._reduce_powers`, and `linalg._combine` keeps each sigma
+by value.  Generators and sigmas are flat integer rows, the format of
+`linalg`, one width per run: a value sigma(x) comes from `linalg._values`,
+its sign from `linalg._entry`, and `linalg._combine` keeps each sigma
 primitive.  The final sigmas become field elements once, made canonical by
 `normalize`.  The dual rank is read off the masks too: the generators on
 which every final sigma vanishes span the lineality space, so the dual
@@ -44,8 +43,7 @@ from its result, so every polyhedron is dualized once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroVector
@@ -71,22 +69,14 @@ class ConeInput:
                 )
 
 
-def _primitive(vec, field):
-    """The positive multiple of `vec` with integer coefficients of content 1."""
-    big = lcm(*(x.den for x in vec))
-    ints = [[c * (big // x.den) for c in x.coeffs] for x in vec]
-    g = gcd(*(c for row in ints for c in row))
-    return tuple(field._make(tuple(c // g for c in row), 1) for row in ints)
-
-
 def normalize(vec, field=None):
     """Canonical positive multiple of a nonzero vector.
 
     A vector whose last nonzero entry is irrational is first divided by the
-    absolute value of that entry; then `_primitive` clears the denominators
-    and takes out the integer content.  Dividing by a positive rational
-    does not change the primitive form, and after the first step any two
-    positive multiples of `vec` differ by one; so they all give one tuple.
+    absolute value of that entry; then the denominators are cleared and the
+    integer content is taken out.  Dividing by a positive rational does not
+    change that primitive form, and after the first step any two positive
+    multiples of `vec` differ by one; so they all give one tuple.
     """
     field = field or vec[0].field
     last = next((x for x in reversed(vec) if x), None)
@@ -95,7 +85,11 @@ def normalize(vec, field=None):
     if any(last.coeffs[1:]):  # irrational
         inv_last = abs(last).inv()
         vec = [x * inv_last for x in vec]
-    return _primitive(vec, field)
+    n = field.degree
+    (row,), _ = linalg._int_rows([vec], n)
+    g = gcd(*row)
+    row = [c // g for c in row]
+    return tuple(linalg._entry(field, n, row, j) for j in range(0, len(row), n))
 
 
 @dataclass
@@ -116,8 +110,7 @@ class DualizationState:
 
     def elements(self, row):
         """The field elements of a flat row."""
-        n, pad = self.n, (0,) * (self.field.degree - self.n)
-        return tuple(self.field._make(tuple(row[j:j + n]) + pad, 1) for j in range(0, len(row), n))
+        return tuple(linalg._entry(self.field, self.n, row, j) for j in range(0, len(row), self.n))
 
 
 def initial_dual(gens, basis_idx, field):
@@ -198,24 +191,10 @@ def fm_step(state, new_idx):
     """Extend the processed cone by generator `new_idx` and shrink its dual."""
     x = state.gens[new_idx]
     field, d, n = state.field, state.dim, state.n
-    if n == 1:
-        values = [[sum(map(mul, s, x))] for s in state.sigmas]
-        signs = [(v > 0) - (v < 0) for v, in values]
-    else:
-        # each value is one convolution over all entries, reduced once; it
-        # is the true value times the positive `_pow_rows` denominator
-        terms = [(j, [(k, b) for k, b in enumerate(x[j:j + n]) if b]) for j in range(0, len(x), n)]
-        values = []
-        for s in state.sigmas:
-            conv = [0] * (2 * n - 1)
-            for j, xt in terms:
-                for i in range(n):
-                    a = s[j + i]
-                    if a:
-                        for k, b in xt:
-                            conv[i + k] += a * b
-            values.append(field._reduce_powers(conv))
-        signs = [field._make(tuple(v), 1).sign() for v in values]
+    values = linalg._values(field, n, state.sigmas, x)
+    # a field element is made only to take the sign of an irrational value
+    signs = [linalg._entry(field, n, v, 0).sign() if any(v[1:]) else (v[0] > 0) - (v[0] < 0)
+             for v in values]
     pos = [t for t, s in enumerate(signs) if s > 0]
     neg = [t for t, s in enumerate(signs) if s < 0]
     zero = [t for t, s in enumerate(signs) if s == 0]

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over a number field.
+"""Dense exact linear algebra over a number field, and its flat row format.
 
 Matrices are plain lists of rows of NFElem.  Elimination is fraction-free
 over Z[a] (`_reduce`): rows are cleared to integer coefficient vectors and
@@ -6,17 +6,29 @@ eliminated by cross-multiplication with integer content removal, so no
 pivot is inverted, zero tests are symbolic, and only each chosen pivot's
 sign is taken.  `det` divides once at the end, by the product of the
 multipliers; `invert` and `null_space` divide each pivot row once, by back
-substitution.  A matrix whose entries are all rational, in any field, is
-eliminated as flat integer rows, with Bareiss's exact division in `rank`
+substitution.  Rational matrices keep Bareiss's exact division in `rank`
 and `det`.  `restrict_to_span` is the one span computation: a greedy basis
 of the rows, the columns on which that basis is independent, and every row
 restricted to those columns.
+
+Flat rows are the one integer row format, here and in `dualize`.  A set of
+rows is cleared together by `_prepare`: each row is multiplied by the lcm
+of its denominators and becomes one list of `n` integers per entry, where
+`n` is 1 if the field has degree 1 or every entry of the set is rational,
+and `field.degree` otherwise.  `_values` gives the products of flat rows
+with one flat row, each as `n` integers: the exact value for n = 1, and for
+n > 1 one convolution reduced once by `NumberField._reduce_powers`, which
+is the value times the positive denominator `field._pow_rows[1]`.
+`_combine` forms p*u - c*v of flat rows from such values, and `_entry`
+reads one flat entry back as a field element, padded to `field.degree`.
+No other module reads or builds flat rows except through these helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import ShapeMismatch, SingularMatrix
 
@@ -150,7 +162,7 @@ def _reduce(field, n, irows, leading=False):
         if not leading and n > 1:  # a rational pivot multiplies rows by an integer
             o = next((j for j in nonzero if not any(work[j + 1:j + n])), o)
         if any(work[o + 1:o + n]):
-            field._make(tuple(work[o:o + n]), 1).sign()
+            _entry(field, n, work, o).sign()
         chosen.append(idx)
         red.append(work)
         offs.append(o)
@@ -183,14 +195,38 @@ def _prepare(rows):
     return field, n, *_int_rows(rows, n)
 
 
+def _entry(field, n, row, o):
+    """The field element of the flat entry at offset `o`, over denominator 1."""
+    return field._make(tuple(row[o:o + n]) + (0,) * (field.degree - n), 1)
+
+
+def _values(field, n, rows, x):
+    """The products of flat rows with the flat row `x`, as `n` integers each.
+
+    For n = 1 each is one integer dot product; for n > 1 one convolution
+    over all entries, reduced once, and so scaled by `field._pow_rows[1]`.
+    """
+    if n == 1:
+        return [[sum(map(mul, r, x))] for r in rows]
+    terms = [(j, [(k, b) for k, b in enumerate(x[j:j + n]) if b]) for j in range(0, len(x), n)]
+    out = []
+    for r in rows:
+        conv = [0] * (2 * n - 1)
+        for j, xt in terms:
+            for i in range(n):
+                a = r[j + i]
+                if a:
+                    for k, b in xt:
+                        conv[i + k] += a * b
+        out.append(field._reduce_powers(conv))
+    return out
+
+
 def _rref(field, n, red, offs, cols):
     """Columns `cols` of the reduced row echelon form, as field elements."""
-    if n > 1:
-        return _back_substitute(
-            red, offs, [c * n for c in cols], lambda r, o: field._make(tuple(r[o:o + n]), 1)
-        )
-    rows = _back_substitute(red, offs, cols, lambda r, o: Fraction(r[o]))
-    return [[field.from_rational(v) for v in row] for row in rows]
+    return _back_substitute(
+        red, offs, [c * n for c in cols], lambda r, o: _entry(field, n, r, o)
+    )
 
 
 def rank(rows):
@@ -221,7 +257,7 @@ def det(rows):
     top = field.from_rational((-1) ** swaps * ratio / prod(factors))
     bottom = field.one
     for r, o, u in zip(red, offs, uses):
-        p = field._make(tuple(r[o:o + n]), 1)
+        p = _entry(field, n, r, o)
         top = top * p
         if u:
             bottom = bottom * p ** u
@@ -245,32 +281,25 @@ def invert(rows):
     return _rref(field, n, red, offs, range(w, 2 * w))
 
 
-def _dot(u, v):
-    """Exact dot product; the integer 0 for empty vectors, which carry no field."""
-    if not u:
-        return 0
-    field = u[0].field
-    if field.degree == 1:
-        # one integer fraction, reduced once; normalized rows keep den at 1
-        num, den = 0, 1
-        for a, b in zip(u, v):
-            n = a.coeffs[0] * b.coeffs[0]
-            if n:
-                d = a.den * b.den
-                if d == den:
-                    num += n
-                else:
-                    num, den = num * d + n * den, den * d
-        return field._make((num,), den)
-    acc = None
-    for a, b in zip(u, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def mat_vec(rows, v):
-    return [_dot(r, v) for r in rows]
+    """Exact products of each row with `v`, cleared to flat rows together once.
+
+    Empty vectors carry no field, and their products are the integer 0.
+    """
+    if not v:
+        return [0] * len(rows)
+    field, n, (x, *irows), (fx, *factors) = _prepare([v, *rows])
+    den = fx * field._pow_rows[1] if n > 1 else fx
+    pad = (0,) * (field.degree - n)
+    return [
+        field._make(tuple(val) + pad, f * den)
+        for val, f in zip(_values(field, n, irows, x), factors)
+    ]
+
+
+def _dot(u, v):
+    """Exact dot product; the integer 0 for empty vectors."""
+    return mat_vec([u], v)[0]
 
 
 def null_space(rows):

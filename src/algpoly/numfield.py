@@ -160,23 +160,32 @@ def fixed_decimal_str(fr, digits):
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
+def _mantissa(a, sig):
+    """(exp, p, q) for a positive Fraction `a`: 10**exp <= a < 10**(exp + 1),
+    and p/q = a * 10**(sig - 1 - exp), found with integer powers of ten."""
+    num, den = a.numerator, a.denominator
+    # floor(log10(2) * bit-length difference) is within two of exp
+    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
+
+    def at_least(e):  # a >= 10**e
+        return num * 10 ** -e >= den if e < 0 else num >= den * 10 ** e
+
+    while at_least(exp + 1):
+        exp += 1
+    while not at_least(exp):
+        exp -= 1
+    k = sig - 1 - exp
+    return (exp, num * 10 ** k, den) if k >= 0 else (exp, num, den * 10 ** -k)
+
+
 def sig_decimal_str(fr, sig):
     """Fraction -> decimal string with `sig` significant digits (plain notation)."""
     if fr == 0:
         return "0." + "0" * (sig - 1) if sig > 1 else "0"
     sign = "-" if fr < 0 else ""
-    a = abs(fr)
-    exp = 0
-    while a >= 10:
-        a /= 10
-        exp += 1
-    while a < 1:
-        a *= 10
-        exp -= 1
-    # a in [1, 10); round to sig digits
-    scaled = a * 10 ** (sig - 1)
-    n = (scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2)
-    digits = str(n)
+    exp, p, q = _mantissa(abs(fr), sig)
+    # round half up to sig digits
+    digits = str((p * 2 + q) // (q * 2))
     if len(digits) > sig:  # rounded up to the next power of ten
         exp += 1
         digits = digits[:sig]
@@ -194,17 +203,8 @@ def sci_str(fr, sig=3):
     if fr == 0:
         return "0"
     sign = "-" if fr < 0 else ""
-    a = abs(fr)
-    exp = 0
-    while a >= 10:
-        a /= 10
-        exp += 1
-    while a < 1:
-        a *= 10
-        exp -= 1
-    scaled = a * 10 ** (sig - 1)
-    n = -(-scaled.numerator // scaled.denominator)
-    digits = str(n)
+    exp, p, q = _mantissa(abs(fr), sig)
+    digits = str(-(-p // q))
     if len(digits) > sig:  # rounded up to the next power of ten
         exp += 1
         digits = digits[:sig]

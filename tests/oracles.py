@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: the dual cone
 oracle enumerates kernel vectors of generator subsets, face dimensions are
 ranks of generator rows, lattice points come from a bounding-box scan
 filtered by the support hyperplanes and the affine hull equations,
-cyclic polytope facets from the Gale evenness condition, automorphism counts
+cyclic polytope facets from the Gale evenness condition, decimal strings
+by one Fraction division per exponent digit, automorphism counts
 from filtering all vertex permutations, affine and orthogonal maps from
 Gauss-Jordan solves, high-precision signs from
 sympy's isolated roots evaluated with mpmath, and gcds, Sturm counts and
@@ -22,6 +23,62 @@ from algpoly.errors import (
     ZeroPolynomial,
     ZeroVector,
 )
+
+
+# ----------------------------------------------------------------------------
+# decimal strings by one Fraction division per digit of the exponent, kept
+# apart from the integer-exponent rendering in algpoly.numfield
+
+def sig_decimal_str(fr, sig):
+    """Fraction -> decimal string with `sig` significant digits (plain notation)."""
+    if fr == 0:
+        return "0." + "0" * (sig - 1) if sig > 1 else "0"
+    sign = "-" if fr < 0 else ""
+    a = abs(fr)
+    exp = 0
+    while a >= 10:
+        a /= 10
+        exp += 1
+    while a < 1:
+        a *= 10
+        exp -= 1
+    # a in [1, 10); round to sig digits
+    scaled = a * 10 ** (sig - 1)
+    n = (scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2)
+    digits = str(n)
+    if len(digits) > sig:  # rounded up to the next power of ten
+        exp += 1
+        digits = digits[:sig]
+    if exp >= sig - 1:
+        return sign + digits + "0" * (exp - sig + 1)
+    if exp >= 0:
+        head, tail = digits[: exp + 1], digits[exp + 1 :]
+        return sign + head + ("." + tail if tail else "")
+    return sign + "0." + "0" * (-exp - 1) + digits
+
+
+def sci_str(fr, sig=3):
+    """Fraction -> scientific notation string with `sig` significant digits,
+    rounded up in absolute value."""
+    if fr == 0:
+        return "0"
+    sign = "-" if fr < 0 else ""
+    a = abs(fr)
+    exp = 0
+    while a >= 10:
+        a /= 10
+        exp += 1
+    while a < 1:
+        a *= 10
+        exp -= 1
+    scaled = a * 10 ** (sig - 1)
+    n = -(-scaled.numerator // scaled.denominator)
+    digits = str(n)
+    if len(digits) > sig:  # rounded up to the next power of ten
+        exp += 1
+        digits = digits[:sig]
+    mant = digits[0] + ("." + digits[1:] if sig > 1 else "")
+    return f"{sign}{mant}e{exp:+03d}" if exp < 0 else f"{sign}{mant}e{exp}"
 
 
 # ----------------------------------------------------------------------------

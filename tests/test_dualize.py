@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import random
 from fractions import Fraction
@@ -345,23 +346,42 @@ class TestDualize:
         assert res.extreme == []
 
 
+def _random_vector(rng, field, algebraic, d):
+    """A vector of d entries, some zero, algebraic ones of full degree."""
+    def entry():
+        if rng.random() < 0.2:
+            return field.zero
+        den = rng.choice([1, 2, 3])
+        if algebraic and rng.random() < 0.6:
+            return field.element([rng.randint(-3, 3) for _ in range(field.degree)], den)
+        return field.from_rational(Fraction(rng.randint(-5, 5), den))
+
+    return tuple(entry() for _ in range(d))
+
+
 @pytest.mark.parametrize("field_name", ["qq", "qsqrt5", "qsqrt5-rational", "p12", "half"])
 def test_fm_step_makes_no_field_arithmetic(monkeypatch, field_name):
-    # fm_step works on flat integer rows; only signs are taken through NFElem
+    # fm_step, linalg._dot and linalg.mat_vec work on flat integer rows; only
+    # signs are taken and results made through NFElem
     field, algebraic = _case(field_name)
 
     def refuse(*args):
-        raise AssertionError("NFElem arithmetic inside fm_step")
+        raise AssertionError("NFElem arithmetic on flat rows")
+
+    @contextlib.contextmanager
+    def no_field_arithmetic():
+        with pytest.MonkeyPatch.context() as mp:
+            for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                       "__truediv__", "inv"):
+                mp.setattr(NFElem, op, refuse)
+            yield
 
     plain_step = dualize_module.fm_step
     steps = []
 
     def guarded(state, new_idx):
         steps.append(new_idx)
-        with pytest.MonkeyPatch.context() as mp:
-            for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
-                       "__truediv__", "inv"):
-                mp.setattr(NFElem, op, refuse)
+        with no_field_arithmetic():
             return plain_step(state, new_idx)
 
     monkeypatch.setattr(dualize_module, "fm_step", guarded)
@@ -372,6 +392,18 @@ def test_fm_step_makes_no_field_arithmetic(monkeypatch, field_name):
         expected = list(brute_force_dual(gens, field))
         assert hyperplane_set(res.support_hyperplanes, field) == expected
     assert steps
+
+    for _ in range(10):
+        d = rng.randint(1, 5)
+        rows = [_random_vector(rng, field, algebraic, d) for _ in range(rng.randint(1, 4))]
+        v = _random_vector(rng, field, algebraic, d)
+        with no_field_arithmetic():
+            products = linalg.mat_vec(rows, v)
+            dots = [linalg._dot(r, v) for r in rows]
+        assert products == dots == [_dot(r, v) for r in rows]
+    with no_field_arithmetic():
+        empty = linalg._dot([], []), linalg.mat_vec([(), ()], ())
+    assert empty == (0, [0, 0]) and type(empty[0]) is int
 
 
 class TestRanks:

@@ -48,13 +48,19 @@ class TestDet:
             assert linalg.det(oracles.mat_mul(m1, m2)) == linalg.det(m1) * linalg.det(m2)
 
     def test_rational_bareiss_path_agrees(self, qq, qsqrt5):
+        # rational rows in Q(sqrt5) are flat rows of one integer per entry
+        def values(rows):
+            return [[x.is_rational() for x in row] for row in rows]
+
         rng = random.Random(4)
         for _ in range(10):
             rows_q = rand_matrix(rng, qq, 4, algebraic=False)
-            values = [[x.is_rational() for x in row] for row in rows_q]
-            rows_f = [[qsqrt5.from_rational(v) for v in row] for row in values]
+            rows_f = [[qsqrt5.from_rational(v) for v in row] for row in values(rows_q)]
             assert linalg.det(rows_q).is_rational() == linalg.det(rows_f).is_rational()
             assert linalg.rank(rows_q) == linalg.rank(rows_f)
+            assert values(linalg.null_space(rows_q[:3])) == values(linalg.null_space(rows_f[:3]))
+            if linalg.rank(rows_q) == 4:
+                assert values(linalg.invert(rows_q)) == values(linalg.invert(rows_f))
 
     def test_shape_errors(self, qq):
         with pytest.raises(ShapeMismatch):

@@ -16,6 +16,7 @@ from algpoly.errors import (
     ZeroPolynomial,
 )
 
+import oracles
 from oracles import bisect_generator, field_decision, oracle_sign, poly_gcd, sturm_count
 
 
@@ -226,6 +227,33 @@ class TestText:
     def test_powers(self, p12):
         x = parse_elem("(1/2*a^11 - 3*a + 7)", p12)
         assert x == p12.gen() ** 11 / 2 - 3 * p12.gen() + 7
+
+    def test_decimal_strings_match_references(self):
+        # exact powers of ten and values just below them sit on the
+        # exponent's boundaries and on rounding up to the next power
+        rng = random.Random(61)
+        exps = [rng.randint(-40, 40) for _ in range(80)]
+        exps += [rng.randint(-2000, 2000) for _ in range(3)]
+        cases = []
+        for e in exps:
+            scale = Fraction(10) ** e
+            big = 10 ** rng.randint(1, 25)
+            cases += [
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, big), rng.randint(1, big)) * scale,
+                scale,
+                scale - scale / big,
+                -scale * Fraction(9995, 1000),
+            ]
+        for fr in cases:
+            for sig in (1, 3, 12):
+                assert numfield.sig_decimal_str(fr, sig) == oracles.sig_decimal_str(fr, sig)
+                assert numfield.sci_str(fr, sig) == oracles.sci_str(fr, sig)
+        for e in (-20000, 20000):
+            fr = Fraction(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 20)) * Fraction(10) ** e
+            assert numfield.sig_decimal_str(fr, 12) == oracles.sig_decimal_str(fr, 12)
+            assert numfield.sci_str(fr, 3) == oracles.sci_str(fr, 3)
+        assert numfield.sig_decimal_str(Fraction(0), 3) == oracles.sig_decimal_str(Fraction(0), 3)
+        assert numfield.sci_str(Fraction(0)) == oracles.sci_str(Fraction(0))
 
 
 def random_elem(rng, field, span=9):

@@ -25,3 +25,13 @@ def test_no_runtime_dependencies():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_flat_rows_stay_in_linalg():
+    # flat integer rows are read and built through linalg's helpers only;
+    # numfield owns the power rows and the element constructor they use
+    for path in sorted(Path(algpoly.__file__).parent.glob("*.py")):
+        if path.stem not in ("linalg", "numfield"):
+            text = path.read_text()
+            found = [name for name in ("_reduce_powers", "_pow_rows", "._make(") if name in text]
+            assert found == [], path.name
